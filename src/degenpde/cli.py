@@ -57,7 +57,8 @@ def _solve_with_summary(cfg):
     return field, res, summary
 
 
-def _regularity_report(cfg, field, max_slices=160):
+def _regularity_report(cfg, field, res=None, max_slices=160):
+    """Regularity diagnostics of a field; ``res`` reuses its residual report."""
     grid = field.grid
     collar = cfg.collar
     cap = cfg.diagnostics.get("offset_cap")
@@ -74,7 +75,8 @@ def _regularity_report(cfg, field, max_slices=160):
         sup, gsup, hsup = field_sup_norms(field.values[k], grid.axes)
         w2.append(sup + gsup + hsup)
     lip = lipschitz_estimates(field, collar=collar)
-    res = residual_field(field, collar=collar) if field.problem is not None else None
+    if res is None and field.problem is not None:
+        res = residual_field(field, collar=collar)
     tol = 10.0 * res.max if res is not None else 0.0
 
     fit_minus = envelope_fit(np.asarray(l_minus), np.asarray(times))
@@ -142,33 +144,20 @@ def _pricing_reports(cfg, field):
     mc = cfg.mc
     if not mc:
         raise ConfigurationError("pricing needs an [mc] section")
-    modes = ["q", "pw"] if mc["mode"] == "both" else [mc["mode"]]
-    reports = {}
-    for mode in modes:
-        rep = price_and_compare(
-            cfg.model,
-            field,
-            cfg.sigma,
-            cfg.mu,
-            x0=np.asarray(mc["x0"]),
-            price_time=mc["price_time"],
-            n_paths=mc["paths"],
-            n_steps=mc["steps"],
-            seed=mc["seed"],
-            mode=mode,
-            chunk_size=mc["chunk"],
-        )
-        reports[mode] = rep
-    out = {m: r.as_dict() for m, r in reports.items()}
-    if len(reports) == 2:
-        rq, rp = reports["q"], reports["pw"]
-        combined = float(np.hypot(rq.mc_se, rp.mc_se))
-        out["agreement"] = {
-            "difference": abs(rq.mc_mean - rp.mc_mean),
-            "combined_se": combined,
-            "z_score": abs(rq.mc_mean - rp.mc_mean) / combined if combined > 0 else 0.0,
-        }
-    return out
+    rep = price_and_compare(
+        cfg.model,
+        field,
+        cfg.sigma,
+        cfg.mu,
+        x0=np.asarray(mc["x0"]),
+        price_time=mc["price_time"],
+        n_paths=mc["paths"],
+        n_steps=mc["steps"],
+        seed=mc["seed"],
+        mode=mc["mode"],
+        chunk_size=mc["chunk"],
+    )
+    return rep.as_dict() if mc["mode"] == "both" else {mc["mode"]: rep.as_dict()}
 
 
 def run_experiment(cfg, out_dir):
@@ -179,7 +168,7 @@ def run_experiment(cfg, out_dir):
     artifacts["field"] = write_field_csv(field, os.path.join(out_dir, "field.csv"))
     artifacts["summary"] = write_json(os.path.join(out_dir, "summary.json"), summary)
     if cfg.diagnostics.get("regularity"):
-        report = _regularity_report(cfg, field)
+        report = _regularity_report(cfg, field, res)
         artifacts["regularity"] = write_json(os.path.join(out_dir, "regularity.json"), report)
     if cfg.model is not None and cfg.mc:
         pricing = _pricing_reports(cfg, field)
@@ -276,9 +265,10 @@ def cmd_diagnose_regularity(args):
     if args.field:
         field = _load_field_arg(args.field)
         field.problem = cfg.problem if field.grid.dim == cfg.dim else None
+        res = None
     else:
-        field, _, _ = _solve_with_summary(cfg)
-    report = _regularity_report(cfg, field)
+        field, res, _ = _solve_with_summary(cfg)
+    report = _regularity_report(cfg, field, res)
     sys.stdout.write(dumps_json({"lip_t": report["lip_t"], "variable": report["variable"]}))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -321,8 +321,15 @@ def load_config(path):
     collar = int(_require(parser, "grid", "collar", "4")) if parser.has_section("grid") else 4
     steps_raw = _require(parser, "grid", "steps", "auto") if parser.has_section("grid") else "auto"
     if steps_raw.strip() == "auto":
+        speed = GridSpec(dim, half_width, nodes, 1, horizon).drift_speed(problem)
         steps = stable_step_count(
-            dim, half_width, nodes, horizon, problem.max_diffusion_norm(horizon), theta=theta
+            dim,
+            half_width,
+            nodes,
+            horizon,
+            problem.max_diffusion_norm(horizon),
+            theta=theta,
+            drift_speed=speed,
         )
     else:
         steps = int(steps_raw)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ContractViolationError,
@@ -280,6 +279,8 @@ class _CachedIntegral:
         t = float(t)
         if t in self._cache:
             return self._cache[t]
+        from scipy.integrate import quad
+
         pts = [b for b in self.breaks if 0.0 < b < t] or None
         val, err = quad(self.g, 0.0, t, epsabs=self.tol, epsrel=1e-12, limit=400, points=pts)
         if not np.isfinite(val):

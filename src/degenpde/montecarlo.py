@@ -13,8 +13,11 @@ simulation) or reweights physical paths by the stochastic exponential
 whose weights have unit mean. The discounted payoff integrates
 (tau - r(T-s)) exp(-int_t^s r(T-k) dk) h(X_s, T-s) along each path; its Monte
 Carlo mean under either mode is compared against the grid solution U(x0, T-t).
+Pricing streams the paths: one time loop carries O(paths) state per measure
+and accumulates the payoff and the log-weight as it goes.
 """
 
+import copy
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -31,7 +34,10 @@ __all__ = [
     "simulate",
     "girsanov_log_weight",
     "payoff_discounted",
+    "PathSums",
+    "stream_paths",
     "PricingReport",
+    "DualityReport",
     "price_and_compare",
     "weight_statistics",
 ]
@@ -47,20 +53,12 @@ def make_rng(seed, stream=None):
 
 @dataclass
 class PathEnsemble:
-    """Simulated paths with retained driving increments and measure tag.
-
-    seed_rule documents how per-path noise derives from the master seed:
-    path i consumes row i of the counter-based stream, and chunked pricing
-    runs spawn stream c for the paths of chunk c.
-    """
+    """Simulated paths with retained driving increments and measure tag."""
 
     states: np.ndarray  # (n_paths, n_steps + 1, N)
     increments: np.ndarray  # (n_paths, n_steps, d)
     times: np.ndarray  # (n_steps + 1,)
     measure: str  # "P" | "Q"
-    log_weights: np.ndarray  # (n_paths,)
-    master_seed: Optional[int] = None
-    seed_rule: str = "philox-row-per-path"
 
     @property
     def n_paths(self):
@@ -169,14 +167,25 @@ class PricingKernel:
         h_val = self.model.principal_h(np.atleast_2d(x), theta)
         return u_val - h_val - float(self.xi(theta))
 
+    def counting_copy(self):
+        """Copy sharing the interpolation tables but counting clamps apart."""
+        twin = copy.copy(self)
+        twin.interp = copy.copy(self.interp)
+        return twin
+
     def gamma(self, x, s, step=None):
         """Kernel at path states x and forward time s (theta = T - s)."""
+        return self.gamma_and_principal(x, s, step=step)[0]
+
+    def gamma_and_principal(self, x, s, step=None):
+        """Kernel and principal h at path states x and forward time s."""
         theta = self.horizon - s
         x = np.atleast_2d(np.asarray(x, dtype=float))
         u_val, grad = self.interp.evaluate(x, theta)
         h = self.model.principal_h
+        h_val = h(x, theta)
         if self.variable == "U":
-            denom = u_val + h(x, theta) + float(self.xi(theta))
+            denom = u_val + h_val + float(self.xi(theta))
             grad_price = grad
         else:
             denom = u_val
@@ -191,7 +200,7 @@ class PricingKernel:
                 floor=self.floor,
             )
         sig = np.asarray(self.sigma(theta), dtype=float)
-        return self.model.rho * (grad_price @ sig) / denom[:, None]
+        return self.model.rho * (grad_price @ sig) / denom[:, None], h_val
 
 
 def simulate(
@@ -245,14 +254,7 @@ def simulate(
         states[:, k + 1, :] = x + drift * ds + increments[:, k, :] @ np.asarray(
             sigma(theta), dtype=float
         ).T
-    return PathEnsemble(
-        states=states,
-        increments=increments,
-        times=times,
-        measure=measure,
-        log_weights=np.zeros(n_paths),
-        master_seed=seed,
-    )
+    return PathEnsemble(states=states, increments=increments, times=times, measure=measure)
 
 
 def girsanov_log_weight(ensemble, kernel):
@@ -289,6 +291,78 @@ def payoff_discounted(states, times, model, t0=None):
     integrand = (model.coupon_tau - rates)[None, :] * disc[None, :] * h_vals
     values = np.trapezoid(integrand, times, axis=1)
     return float(values[0]) if single else values
+
+
+@dataclass
+class PathSums:
+    """Terminal states and per-path sums of one measure from ``stream_paths``."""
+
+    state: np.ndarray  # (n_paths, N)
+    payoff: np.ndarray  # (n_paths,) trapezoidal discounted payoff
+    log_weight: Optional[np.ndarray]  # (n_paths,) log dQ/dP under P; None under Q
+
+
+def stream_paths(kernels, mu, x0, t0, increments):
+    """Price paths in one Euler-Maruyama time loop with O(paths) state.
+
+    ``kernels`` maps "Q" (tilted drift mu - sigma gamma) and/or "P" (physical
+    drift, Girsanov-reweighted) to a PricingKernel; both measures are driven
+    by the same ``increments`` of shape (n_paths, n_steps, d). Each step
+    evaluates gamma and h once per measure, adds the trapezoid term of the
+    discounted payoff and, under P, subtracts gamma . dW + 1/2 |gamma|^2 ds
+    from the log-weight. The states and log-weights equal those of
+    ``simulate`` and ``girsanov_log_weight`` bit for bit; the payoffs equal
+    ``payoff_discounted`` up to the order of summation.
+    """
+    kernel = next(iter(kernels.values()))
+    model, sigma = kernel.model, kernel.sigma
+    T = model.horizon
+    n_paths, n_steps, _ = increments.shape
+    times = np.linspace(t0, T, n_steps + 1)
+    # the Euler step uses ds as simulate does, the log-weight the first grid
+    # spacing as girsanov_log_weight does; the two can differ in the last bit
+    ds = (T - t0) / n_steps
+    ds_weight = times[1] - times[0]
+    dt = np.diff(times)
+    rates = np.asarray([float(model.rate_r(T - s)) for s in times])
+    coef = (model.coupon_tau - rates) * np.asarray(kernel.discount(t0, times), dtype=float)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    sums = {
+        m: PathSums(
+            state=np.broadcast_to(x0, (n_paths, x0.shape[0])).copy(),
+            payoff=np.zeros(n_paths),
+            log_weight=np.zeros(n_paths) if m == "P" else None,
+        )
+        for m in kernels
+    }
+    integrand = {}
+
+    def add_integrand(m, k, h_val):
+        y = coef[k] * h_val
+        if k:
+            sums[m].payoff += dt[k - 1] * (y + integrand[m]) / 2.0
+        integrand[m] = y
+
+    for k in range(n_steps):
+        s = times[k]
+        theta = T - s
+        sig_t = np.asarray(sigma(theta), dtype=float).T
+        dw = increments[:, k, :]
+        noise = dw @ sig_t
+        for m, kern in kernels.items():
+            ps = sums[m]
+            x = ps.state
+            gam, h_val = kern.gamma_and_principal(x, s, step=k)
+            add_integrand(m, k, h_val)
+            drift = np.asarray(mu(x, theta), dtype=float)
+            if m == "Q":
+                drift = drift - gam @ sig_t
+            else:
+                ps.log_weight -= np.sum(gam * dw, axis=1) + 0.5 * np.sum(gam * gam, axis=1) * ds_weight
+            ps.state = x + drift * ds + noise
+    for m, ps in sums.items():
+        add_integrand(m, n_steps, model.principal_h(ps.state, T - times[-1]))
+    return sums
 
 
 @dataclass
@@ -336,6 +410,35 @@ class PricingReport:
         return out
 
 
+@dataclass
+class DualityReport:
+    """Both estimator modes priced on shared noise, and their agreement."""
+
+    q: PricingReport
+    pw: PricingReport
+
+    @property
+    def n_paths(self):
+        return self.q.n_paths
+
+    @property
+    def n_steps(self):
+        return self.q.n_steps
+
+    def as_dict(self):
+        diff = abs(self.q.mc_mean - self.pw.mc_mean)
+        combined = float(np.hypot(self.q.mc_se, self.pw.mc_se))
+        return {
+            "q": self.q.as_dict(),
+            "pw": self.pw.as_dict(),
+            "agreement": {
+                "difference": diff,
+                "combined_se": combined,
+                "z_score": diff / combined if combined > 0 else 0.0,
+            },
+        }
+
+
 def weight_statistics(log_weights):
     w = np.exp(log_weights)
     mean = float(np.mean(w))
@@ -359,12 +462,16 @@ def price_and_compare(
     """Estimate the discounted payoff by Monte Carlo and compare to the grid.
 
     mode "q" simulates under the tilted drift; mode "pw" simulates physical
-    paths and reweights them by the Girsanov exponential. Paths are processed
-    in fixed-size chunks with seeds split from the master seed, so a rerun
-    with the same seed is bit-identical.
+    paths and reweights them by the Girsanov exponential; mode "both" runs
+    the two on the same noise in one pass and returns a DualityReport.
+    Paths are processed in fixed-size chunks; chunk c draws its increments
+    from stream c of the master seed, so a rerun with the same seed is
+    bit-identical.
     """
-    if mode not in ("q", "pw"):
-        raise ContractViolationError("mode must be q or pw", mode=mode)
+    if mode not in ("q", "pw", "both"):
+        raise ContractViolationError("mode must be q, pw or both", mode=mode)
+    if chunk_size < 1:
+        raise ContractViolationError("chunk size must be positive", chunk_size=chunk_size)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     grid = field.grid
     for xi_c, r, dxi in zip(x0, grid.half_width, grid.dx):
@@ -380,65 +487,50 @@ def price_and_compare(
 
     kernel = PricingKernel(model, field, sigma)
     pde_value = float(kernel.price_value(x0[None, :], theta0)[0])
+    measures = {"q": "Q", "pw": "P"}
+    modes = ("q", "pw") if mode == "both" else (mode,)
+    kernels = {measures[m]: kernel.counting_copy() for m in modes}
 
-    payoffs = []
-    weights = []
-    n_left = n_paths
-    stream = 0
-    while n_left > 0:
-        batch = min(chunk_size, n_left)
-        batch_seed = np.random.SeedSequence(seed, spawn_key=(stream,))
-        rng = np.random.Generator(np.random.Philox(batch_seed))
-        d_noise = np.asarray(sigma(0.0)).shape[1]
-        ds = (model.horizon - price_time) / n_steps
-        incs = rng.standard_normal((batch, n_steps, d_noise)) * np.sqrt(ds)
-        ens = simulate(
-            sigma,
-            mu,
-            x0,
-            price_time,
-            model.horizon,
-            n_steps,
-            batch,
-            measure="Q" if mode == "q" else "P",
-            kernel=kernel,
+    d_noise = np.asarray(sigma(0.0)).shape[1]
+    ds = (model.horizon - price_time) / n_steps
+    chunks = []
+    for stream, start in enumerate(range(0, n_paths, chunk_size)):
+        batch = min(chunk_size, n_paths - start)
+        incs = make_rng(seed, stream).standard_normal((batch, n_steps, d_noise))
+        incs *= np.sqrt(ds)
+        chunks.append(stream_paths(kernels, mu, x0, price_time, incs))
+        del incs  # free this chunk's noise before the next one is drawn
+
+    reports = {}
+    for m in modes:
+        meas = measures[m]
+        pay = np.concatenate([c[meas].payoff for c in chunks])
+        if m == "pw":
+            log_w = np.concatenate([c[meas].log_weight for c in chunks])
+            sample = pay * np.exp(log_w)
+            w_mean, w_se = weight_statistics(log_w)
+        else:
+            sample = pay
+            w_mean = w_se = None
+        mc_mean = float(np.mean(sample))
+        mc_se = float(np.std(sample, ddof=1) / np.sqrt(len(sample)))
+        diff = abs(mc_mean - pde_value)
+        z = diff / mc_se if mc_se > 0.0 else (0.0 if diff == 0.0 else np.inf)
+        clamp_fraction = kernels[meas].interp.clamp_fraction()
+        reports[m] = PricingReport(
+            mode=m,
+            mc_mean=mc_mean,
+            mc_se=mc_se,
+            pde_value=pde_value,
+            z_score=float(z),
+            n_paths=n_paths,
+            n_steps=n_steps,
             seed=seed,
-            increments=incs,
+            clamp_fraction=clamp_fraction,
+            clamp_flag=clamp_fraction > 0.01,
+            weight_mean=w_mean,
+            weight_se=w_se,
+            x0=tuple(float(v) for v in x0),
+            price_time=float(price_time),
         )
-        pay = payoff_discounted(ens.states, ens.times, model, t0=price_time)
-        payoffs.append(pay)
-        if mode == "pw":
-            weights.append(girsanov_log_weight(ens, kernel))
-        n_left -= batch
-        stream += 1
-
-    pay = np.concatenate(payoffs)
-    if mode == "pw":
-        log_w = np.concatenate(weights)
-        w = np.exp(log_w)
-        sample = pay * w
-        w_mean, w_se = weight_statistics(log_w)
-    else:
-        sample = pay
-        w_mean = w_se = None
-    mc_mean = float(np.mean(sample))
-    mc_se = float(np.std(sample, ddof=1) / np.sqrt(len(sample)))
-    diff = abs(mc_mean - pde_value)
-    z = diff / mc_se if mc_se > 0.0 else (0.0 if diff == 0.0 else np.inf)
-    clamp_fraction = kernel.interp.clamp_fraction()
-    return PricingReport(
-        mode=mode,
-        mc_mean=mc_mean,
-        mc_se=mc_se,
-        pde_value=pde_value,
-        z_score=float(z),
-        n_paths=n_paths,
-        n_steps=n_steps,
-        seed=seed,
-        clamp_fraction=clamp_fraction,
-        clamp_flag=clamp_fraction > 0.01,
-        weight_mean=w_mean,
-        weight_se=w_se,
-        x0=tuple(float(v) for v in x0),
-        price_time=float(price_time),
-    )
+    return DualityReport(**reports) if mode == "both" else reports[mode]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import StiffnessError
 
@@ -156,6 +155,8 @@ def integrate_increasing(
         if target is not None and y5 >= target:
             t0p, y0p, f0p = t, y, f
             if y5 > target and y0p < target:
+                from scipy.optimize import brentq
+
                 t_star = brentq(
                     lambda s: _hermite(t0p, y0p, f0p, t + h, y5, f1, s) - target,
                     t0p,

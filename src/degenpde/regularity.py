@@ -9,7 +9,6 @@ from coefficient norms. Boundary collars are excluded everywhere.
 
 from dataclasses import dataclass, field as dataclass_field
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigurationError, ContractViolationError
 
@@ -148,6 +147,8 @@ def envelope_fit(series, times):
             best = (rate, m0, c0, sse)
     lo = best[0] / 3.0
     hi = min(best[0] * 3.0, 200.0 / t_span)
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda r: _linear_fit_at_rate(r, times, series)[2],
         bounds=(lo, hi),

@@ -93,18 +93,26 @@ class GridSpec:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack(grids, axis=-1)
 
-    def stability_ratio(self, max_diffusion_norm, theta=DEFAULT_THETA):
-        """dt divided by the parabolic bound theta * dx^2 / (N * max|sigma sigma^T|)."""
-        if max_diffusion_norm <= 0.0:
-            return 0.0
-        bound = theta * min(self.dx) ** 2 / (self.dim * max_diffusion_norm)
-        return self.dt / bound
+    def stability_ratio(self, max_diffusion_norm, theta=DEFAULT_THETA, drift_speed=0.0):
+        """dt divided by the step bound of ``_step_bound``; 0 when nothing moves."""
+        bound = _step_bound(self.dim, self.dx, max_diffusion_norm, drift_speed, theta)
+        return 0.0 if bound is None else self.dt / bound
+
+    def drift_speed(self, problem, samples=64):
+        """Upwind speed max sum_i |mu_i| / dx_i over interior nodes and sampled times."""
+        x_int = _interior_mesh(self)
+        inv_dx = 1.0 / np.asarray(self.dx)
+        return max(
+            float(np.max(np.abs(np.asarray(problem.drift(x_int, t), dtype=float)) @ inv_dx))
+            for t in np.linspace(0.0, self.horizon, samples)
+        )
 
     def validate_stability(self, problem, theta=DEFAULT_THETA):
-        ratio = self.stability_ratio(problem.max_diffusion_norm(self.horizon), theta)
+        norm = problem.max_diffusion_norm(self.horizon)
+        ratio = self.stability_ratio(norm, theta, self.drift_speed(problem))
         if ratio > 1.0 + 1e-12:
             raise StabilityError(
-                "time step violates the parabolic stability bound",
+                "time step violates the parabolic and upwind stability bound",
                 ratio=ratio,
                 dt=self.dt,
                 dx=min(self.dx),
@@ -113,14 +121,32 @@ class GridSpec:
         return ratio
 
 
-def stable_step_count(dim, half_width, nodes, horizon, max_diffusion_norm, theta=DEFAULT_THETA):
-    """Smallest step count satisfying dt <= theta dx^2 / (N max|sigma sigma^T|)."""
+def _step_bound(dim, dx, max_diffusion_norm, drift_speed, theta):
+    """Stable dt: theta dx^2 / (N max|sigma sigma^T| + dx^2 sum_i |mu_i| / dx_i).
+
+    This keeps dt (N max|sigma sigma^T| / dx^2 + sum_i |mu_i| / dx_i) <= theta,
+    the diffusion and upwind-drift weights of the explicit stencil, with dx
+    the smallest spacing. None when there is neither diffusion nor drift.
+    """
+    dx_min = min(dx)
+    rate = dim * max_diffusion_norm + drift_speed * dx_min**2
+    return theta * dx_min**2 / rate if rate > 0.0 else None
+
+
+def stable_step_count(
+    dim, half_width, nodes, horizon, max_diffusion_norm, theta=DEFAULT_THETA, drift_speed=0.0
+):
+    """Smallest step count satisfying the bound of ``_step_bound``.
+
+    With neither diffusion nor drift no spatial bound applies, and the step
+    falls back to theta * dx as a resolution choice.
+    """
     hw = _per_axis(half_width, dim, float)
     nd = _per_axis(nodes, dim, int)
-    dx_min = min(2.0 * r / (n - 1) for r, n in zip(hw, nd))
-    if max_diffusion_norm <= 0.0:
-        return max(1, int(np.ceil(horizon / (theta * dx_min))))
-    bound = theta * dx_min**2 / (dim * max_diffusion_norm)
+    dx = [2.0 * r / (n - 1) for r, n in zip(hw, nd)]
+    bound = _step_bound(dim, dx, max_diffusion_norm, drift_speed, theta)
+    if bound is None:
+        bound = theta * min(dx)
     return max(1, int(np.ceil(horizon / bound)))
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import ContractViolationError, IntegrationError, ParameterError
 from .model import ProblemSpec
@@ -55,6 +54,8 @@ class Primitive:
         if not np.all(np.isfinite(vals)):
             bad = knots[~np.isfinite(vals)][0]
             raise IntegrationError("non-finite coefficient sample", u=float(bad))
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(knots, vals)
         anti = spline.antiderivative()
         base = float(anti(self.c))
@@ -123,6 +124,8 @@ class TransformPair:
     def __post_init__(self):
         if np.any(np.diff(self.q_knots) <= 0.0):
             raise ContractViolationError("Q tabulation must be strictly increasing")
+        from scipy.interpolate import CubicHermiteSpline
+
         self._q_spline = CubicHermiteSpline(self.tau_knots, self.q_knots, self.slope_knots)
         self._p_spline = None
         self._g, self._gp = _mode_functions(self.mode, self.l_exp)
@@ -267,6 +270,8 @@ def invert(pair):
     dq = np.diff(pair.q_knots)
     if np.any(dq <= 0.0):
         raise ContractViolationError("cannot invert a non-monotone tabulation")
+    from scipy.interpolate import CubicHermiteSpline
+
     p_spline = CubicHermiteSpline(pair.q_knots, pair.tau_knots, 1.0 / pair.slope_knots)
     pair._p_spline = p_spline
     return p_spline

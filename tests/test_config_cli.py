@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import degenpde
+from degenpde import cli
 from degenpde.cli import main
 from degenpde.config import load_config, parse_family
 from degenpde.errors import ConfigurationError, StabilityError
@@ -352,3 +356,40 @@ def test_zero_principal_pipeline_reports_zero(tmp_path):
         assert pricing[mode]["mc_mean"] == 0.0
         assert pricing[mode]["pde_value"] == 0.0
         assert pricing[mode]["z_score"] == 0.0
+
+
+def _scipy_loaded_after(code):
+    """Run code in a fresh interpreter; return whether scipy got imported."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(degenpde.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = code + "\nimport sys\nprint('scipy' in sys.modules)\n"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_cli_import_does_not_load_scipy():
+    assert not _scipy_loaded_after("import degenpde.cli")
+
+
+def test_counterexample_does_not_load_scipy():
+    code = (
+        "from degenpde.cli import main\n"
+        "assert main(['counterexample', '--paths', '500', '--steps', '20', '--seed', '1']) == 0"
+    )
+    assert not _scipy_loaded_after(code)
+
+
+@pytest.mark.parametrize("command", ["verify-duality", "diagnose-regularity"])
+def test_residual_computed_once_per_run(command, bench_config, tmp_path, monkeypatch):
+    calls = []
+    residual_field = cli.residual_field
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return residual_field(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "residual_field", counted)
+    assert main([command, "--config", bench_config, "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,14 @@ from degenpde.errors import ContractViolationError, DegeneracyError, Extrapolati
 from degenpde.families import constant_sigma, linear_drift, zero_drift
 from degenpde.montecarlo import (
     GradientInterpolant,
+    DualityReport,
     PricingKernel,
     girsanov_log_weight,
+    make_rng,
     payoff_discounted,
     price_and_compare,
     simulate,
+    stream_paths,
     weight_statistics,
 )
 from degenpde.solver import GridSpec, SolutionField
@@ -60,7 +65,6 @@ class TestSimulate:
             sigma, zero_drift(1), [0.0], 0.0, 1.0, 100, 500, measure="Q", kernel=kernel, seed=7
         )
         assert np.array_equal(p_paths.states, q_paths.states)
-        assert np.all(q_paths.log_weights == 0.0)
 
     def test_q_measure_requires_kernel(self):
         sigma = constant_sigma([[1.0]])
@@ -243,6 +247,19 @@ class TestPriceAndCompare:
                 mode="nope",
             )
 
+    def test_nonpositive_chunk_rejected(self, bench_setup):
+        with pytest.raises(ContractViolationError):
+            price_and_compare(
+                bench_setup["model"],
+                bench_setup["field"],
+                bench_setup["sigma"],
+                bench_setup["mu"],
+                x0=[0.0],
+                n_paths=10,
+                n_steps=5,
+                chunk_size=0,
+            )
+
     def test_step_refinement_with_common_noise(self, bench_setup):
         # coarse increments are pairwise sums of the fine ones: same Brownian
         # path, so the price difference isolates the time-discretization error
@@ -265,6 +282,92 @@ class TestPriceAndCompare:
             prices[label] = pays.mean()
             ses[label] = pays.std(ddof=1) / np.sqrt(n_paths)
         assert abs(prices["fine"] - prices["coarse"]) < max(ses["fine"], ses["coarse"])
+
+
+class TestStreamedPass:
+    """The streamed loop against simulate, girsanov_log_weight and payoff_discounted."""
+
+    N_PATHS, N_STEPS, T0 = 3000, 120, 0.25
+
+    @pytest.fixture()
+    def shared(self, bench_setup):
+        kernel = PricingKernel(bench_setup["model"], bench_setup["field"], bench_setup["sigma"])
+        ds = (1.0 - self.T0) / self.N_STEPS
+        incs = make_rng(11, 0).standard_normal((self.N_PATHS, self.N_STEPS, 1))
+        incs *= np.sqrt(ds)
+        return dict(bench_setup, kernel=kernel, incs=incs)
+
+    def simulate(self, shared, measure):
+        return simulate(
+            shared["sigma"], shared["mu"], [0.3], self.T0, 1.0, self.N_STEPS, self.N_PATHS,
+            measure=measure, kernel=shared["kernel"], increments=shared["incs"],
+        )
+
+    def stream(self, shared, measures):
+        kernels = {m: shared["kernel"].counting_copy() for m in measures}
+        return stream_paths(kernels, shared["mu"], [0.3], self.T0, shared["incs"])
+
+    def test_pw_log_weights_bitwise(self, shared):
+        ens = self.simulate(shared, "P")
+        sums = self.stream(shared, ("P",))["P"]
+        assert np.array_equal(sums.log_weight, girsanov_log_weight(ens, shared["kernel"]))
+        assert np.array_equal(sums.state, ens.states[:, -1, :])
+
+    def test_q_states_bitwise(self, shared):
+        ens = self.simulate(shared, "Q")
+        sums = self.stream(shared, ("Q",))["Q"]
+        assert np.array_equal(sums.state, ens.states[:, -1, :])
+        assert sums.log_weight is None
+
+    @pytest.mark.parametrize("measure", ["Q", "P"])
+    def test_payoffs_match_trapezoid(self, shared, measure):
+        ens = self.simulate(shared, measure)
+        expected = payoff_discounted(ens.states, ens.times, shared["model"], t0=self.T0)
+        got = self.stream(shared, (measure,))[measure].payoff
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
+    def test_joint_pass_equals_separate_passes(self, shared):
+        both = self.stream(shared, ("Q", "P"))
+        for m in ("Q", "P"):
+            alone = self.stream(shared, (m,))[m]
+            assert np.array_equal(both[m].state, alone.state)
+            assert np.array_equal(both[m].payoff, alone.payoff)
+        assert np.array_equal(both["P"].log_weight, self.stream(shared, ("P",))["P"].log_weight)
+
+    def test_both_mode_reports_equal_separate_runs(self, bench_setup):
+        kwargs = dict(x0=[0.2], price_time=0.1, n_paths=3000, n_steps=80, seed=19, chunk_size=1200)
+        args = (bench_setup["model"], bench_setup["field"], bench_setup["sigma"], bench_setup["mu"])
+        dual = price_and_compare(*args, mode="both", **kwargs)
+        assert isinstance(dual, DualityReport)
+        assert (dual.n_paths, dual.n_steps) == (3000, 80)
+        payload = dual.as_dict()
+        for mode in ("q", "pw"):
+            assert payload[mode] == price_and_compare(*args, mode=mode, **kwargs).as_dict()
+        agree = payload["agreement"]
+        assert agree["combined_se"] == np.hypot(payload["q"]["mc_se"], payload["pw"]["mc_se"])
+        assert agree["difference"] == abs(payload["q"]["mc_mean"] - payload["pw"]["mc_mean"])
+
+    def test_peak_memory_is_one_noise_block_plus_o_paths(self):
+        model = make_benchmark_model()
+        sigma = constant_sigma([[1.0]])
+        field = flat_price_field(GridSpec(1, 8.0, 101, 20, 1.0))
+        n_paths, n_steps, chunk = 20_000, 200, 10_000
+
+        def run():
+            return price_and_compare(
+                model, field, sigma, zero_drift(1), x0=[0.0], n_paths=n_paths,
+                n_steps=n_steps, seed=3, mode="both", chunk_size=chunk,
+            )
+
+        run()  # first call loads the quadrature module; keep it out of the trace
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        noise_block = chunk * n_steps * 8
+        assert peak < 1.5 * noise_block + 32 * n_paths * 8
 
 
 def test_clamp_flag_raised_when_paths_leave_small_box(bench_setup):

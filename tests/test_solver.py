@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,56 @@ def test_grid_dimension_capped_at_three():
 def test_grid_rejects_even_nodes():
     with pytest.raises(ContractViolationError):
         GridSpec(1, 2.0, 40, 5, 1.0)
+
+
+DRIFT_INI = """
+[model]
+kind = general
+dim = 1
+horizon = 1.0
+sigma = constant:0.1
+mu = linear:3
+lambda = zero
+eta = zero
+value_interval = -0.5,1.5
+initial = gaussian:1,0,1
+
+[grid]
+half_width = 8.0
+nodes = 401
+steps = auto
+"""
+
+
+class TestAutoSteps:
+    def test_drift_dominated_config_solves(self, tmp_path):
+        # ignoring the upwind speed 3 * 8 / dx gave 15 steps and a blow-up at step 8
+        from degenpde.config import load_config
+
+        path = tmp_path / "drift.ini"
+        path.write_text(DRIFT_INI)
+        cfg = load_config(str(path))
+        speed = cfg.grid.drift_speed(cfg.problem)
+        assert speed == pytest.approx(3.0 * 7.96 / cfg.grid.dx[0])
+        assert cfg.grid.steps > stable_step_count(1, 8.0, 401, 1.0, 0.01, theta=cfg.theta)
+        field = solve(cfg.problem, cfg.u0, cfg.grid, theta=cfg.theta)
+        assert np.all(np.isfinite(field.values))
+
+    def test_validation_rejects_steps_too_coarse_for_drift(self):
+        coeffs = make_general_coeffs(
+            sigma_matrix=np.zeros((1, 1)), mu=constant_drift(1, 2.0), value_interval=(-2.0, 2.0)
+        )
+        problem = coeffs.as_problem()
+        dx = 8.0 / 40
+        steps = stable_step_count(1, 4.0, 41, 1.0, 0.0, drift_speed=2.0 / dx)
+        assert steps == int(np.ceil(1.0 / (0.45 * dx / 2.0)))
+        assert GridSpec(1, 4.0, 41, steps, 1.0).validate_stability(problem) <= 1.0
+        with pytest.raises(StabilityError):
+            GridSpec(1, 4.0, 41, steps - 1, 1.0).validate_stability(problem)
+
+    def test_zero_drift_step_counts_unchanged(self):
+        from degenpde.config import load_config
+
+        root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        assert load_config(os.path.join(root, "benchmark.ini")).grid.steps == 1389
+        assert load_config(os.path.join(root, "degenerate.ini")).grid.steps == 112
