@@ -111,7 +111,12 @@ def _regularity_report(cfg, field, res=None, max_slices=160):
     if field.problem is not None:
         u0 = field.values[0]
         _, gcap, hcap = field_sup_norms(u0, grid.axes)
-        bc = bound_constants(field.problem, grid.axes, grid.horizon, (gcap, hcap))
+        w_norms = None
+        if field.problem.norms is not None:
+            w_norms = solution_sobolev_norms(field, collar=collar, stride=stride)
+        bc = bound_constants(
+            field.problem, grid.axes, grid.horizon, (gcap, hcap), solution_norms=w_norms
+        )
         dev = initial_deviation_check(field, bc.c0_init, tol, horizon_fraction=0.1, collar=collar)
         report["c0_init"] = bc.c0_init
         report["scheme_tolerance"] = tol
@@ -120,19 +125,15 @@ def _regularity_report(cfg, field, res=None, max_slices=160):
             "ok": dev.ok,
             "horizon_fraction": 0.1,
         }
-        if field.problem.norms is not None:
+        if w_norms is not None:
             # time-Lipschitz check against the one-sided growth bound;
             # flagged, never failed
-            w_norms = solution_sobolev_norms(field, collar=collar, stride=max(1, stride))
-            bc_t = bound_constants(
-                field.problem, grid.axes, grid.horizon, (gcap, hcap), solution_norms=w_norms
-            )
-            bound = bc_t.c0_init + float(bc_t.alpha(grid.horizon)) + tol
+            bound = bc.c0_init + float(bc.alpha(grid.horizon)) + tol
             report["time_lipschitz"] = {
                 "lip_t": lip.lip_t,
                 "bound": bound,
-                "b1": bc_t.b1,
-                "b2": bc_t.b2,
+                "b1": bc.b1,
+                "b2": bc.b2,
                 "flag_exceeded": bool(lip.lip_t > bound),
             }
     return report

@@ -22,7 +22,6 @@ from .model import (
     CoefficientSet,
     MbsModel,
     mbs_price_problem,
-    mbs_to_general,
 )
 from .solver import DEFAULT_THETA, GridSpec, stable_step_count
 
@@ -186,7 +185,6 @@ class ExperimentConfig:
     sigma: object
     mu: object
     model: Optional[MbsModel] = None
-    coeffs: Optional[CoefficientSet] = None
     mc: dict = dataclass_field(default_factory=dict)
     diagnostics: dict = dataclass_field(default_factory=dict)
     transform: dict = dataclass_field(default_factory=dict)
@@ -232,7 +230,6 @@ def load_config(path):
     }
 
     model = None
-    coeffs = None
     if kind == "mbs":
         rho = float(_require(parser, "model", "rho", "0.5"))
         coupon = float(_require(parser, "model", "coupon_tau", "0.06"))
@@ -250,12 +247,6 @@ def load_config(path):
             dim=dim,
         )
         problem = mbs_price_problem(model, sigma, mu, value_interval=value_interval)
-        coeffs = mbs_to_general(
-            model,
-            sigma,
-            mu,
-            value_interval=(max(1e-6, value_interval[0] + 1.0), value_interval[1] + 3.0),
-        )
         manifest["model"].update(
             {
                 "rho": rho,
@@ -419,7 +410,6 @@ def load_config(path):
         sigma=sigma,
         mu=mu,
         model=model,
-        coeffs=coeffs,
         mc=mc,
         diagnostics=diagnostics,
         transform=transform,

@@ -219,7 +219,7 @@ def constant_rate(value):
     v = float(value)
     fn = lambda t: v + 0.0 * np.asarray(t, dtype=float)
     fn.label = "constant"
-    fn.sup = abs(v)
+    fn.integral = lambda t: v * np.asarray(t, dtype=float)
     return fn
 
 
@@ -227,23 +227,33 @@ def linear_rate(slope, intercept=0.0):
     s, b = float(slope), float(intercept)
     fn = lambda t: s * np.asarray(t, dtype=float) + b
     fn.label = "linear"
+    fn.integral = lambda t: (0.5 * s * np.asarray(t, dtype=float) + b) * np.asarray(t, dtype=float)
     return fn
 
 
 def piecewise_rate(breaks, values):
-    """Piecewise-constant rate: value[i] on [breaks[i-1], breaks[i])."""
+    """Piecewise-constant rate: value[i] on [breaks[i-1], breaks[i]).
+
+    value[0] extends below breaks[0] and the last value past the last break.
+    """
     bs = np.asarray(breaks, dtype=float)
     vs = np.asarray(values, dtype=float)
     if bs.ndim != 1 or vs.shape != bs.shape or np.any(np.diff(bs) <= 0):
         raise ConfigurationError("piecewise rate needs increasing breaks matching values")
+    lo = np.concatenate([[-np.inf], bs[:-1]])
+    hi = np.concatenate([bs[:-1], [np.inf]])
 
     def fn(t):
         idx = np.minimum(np.searchsorted(bs, np.asarray(t, dtype=float), side="right"), len(vs) - 1)
         return vs[idx]
 
+    def integral(t):
+        # each piece contributes its value times its signed overlap with [0, t]
+        t = np.asarray(t, dtype=float)[..., None]
+        return np.sum(vs * (np.clip(t, lo, hi) - np.clip(0.0, lo, hi)), axis=-1)
+
     fn.label = "piecewise"
-    fn.sup = float(np.max(np.abs(vs)))
-    fn.breaks = bs[:-1].tolist()
+    fn.integral = integral
     return fn
 
 

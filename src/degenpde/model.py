@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     ContractViolationError,
     DomainViolationError,
-    IntegrationError,
     PositivityError,
 )
 
@@ -42,6 +41,15 @@ __all__ = [
     "mbs_price_problem",
     "discount_and_xi",
 ]
+
+
+def _dot(a, b):
+    """<a, b> over the trailing axis, one term per component; numpy's
+    reductions over a trailing axis of length 2 or 3 are several times slower."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
 
 
 @dataclass(frozen=True)
@@ -93,22 +101,35 @@ class ProblemSpec:
         ts = np.linspace(0.0, horizon, samples)
         return max(float(np.linalg.norm(self.sigma_sq(t), 2)) for t in ts)
 
-    def hamiltonian(self, x, t, u, p, X):
-        """Pointwise H for a single space point, gradient vector and Hessian."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def hamiltonian(self, x, t, u, p, X, drift_p=None):
+        """H(x, t, u, p, X): the one place the package evaluates H.
+
+        Vectorized over leading axes: x (..., N), u (...), p (..., N) and
+        X (..., N, N) broadcast together, and the coefficients are evaluated
+        at (x, u) as given. ``drift_p`` is the gradient paired with the drift
+        and defaults to p; the stencil passes upwind differences there and
+        central ones in p. A single point x of shape (N,) is a one-row call
+        that returns a float.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            n = x.shape[0]
+            row = lambda v, shape: np.asarray(v, dtype=float).reshape((1,) + shape)
+            dp = None if drift_p is None else row(drift_p, (n,))
+            out = self.hamiltonian(x[None], t, row(u, ()), row(p, (n,)), row(X, (n, n)), dp)
+            return float(out[0])
+        p = np.asarray(p, dtype=float)
+        drift_p = p if drift_p is None else drift_p
         sig = np.asarray(self.sigma(t), dtype=float)
         a = sig @ sig.T
-        sp = sig.T @ p
-        xb = x[None, :]
-        uarr = np.asarray([u], dtype=float)
-        tr_term = -0.5 * float(np.trace(a @ X))
-        drift_term = float(self.drift(xb, t)[0] @ p)
-        quad_term = float(self.quad_coeff(xb, t, uarr)[0]) * float(sp @ sp)
-        cross_term = float(self.cross_coeff(xb, t, uarr)[0]) * float(sp @ self.w(xb, t)[0])
-        src = float(self.source(xb, t, uarr)[0])
-        return tr_term + drift_term + quad_term + cross_term + src
+        trace = sum(a[i, j] * X[..., i, j] for i, j in zip(*np.nonzero(a)))
+        drift = _dot(np.asarray(self.drift(x, t), dtype=float), drift_p)
+        sp = p @ sig
+        quad = np.asarray(self.quad_coeff(x, t, u), dtype=float)
+        cross = np.asarray(self.cross_coeff(x, t, u), dtype=float)
+        w = np.asarray(self.w(x, t), dtype=float)
+        nonlinear = quad * _dot(sp, sp) + cross * _dot(sp, w)
+        return -0.5 * trace + drift + nonlinear + np.asarray(self.source(x, t, u), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -223,7 +244,8 @@ class MbsModel:
     """Financial instance: risk parameter, coupon, short rate and principal.
 
     principal_h must satisfy h >= 0 and h(., 0) == 0; the short rate is a
-    deterministic function of time.
+    deterministic function of time carrying its antiderivative
+    ``integral(t) = int_0^t r(s) ds``.
     """
 
     rho: float
@@ -240,6 +262,8 @@ class MbsModel:
             raise ContractViolationError("coupon must be positive", coupon=self.coupon_tau)
         if self.horizon <= 0.0:
             raise ContractViolationError("horizon must be positive", horizon=self.horizon)
+        if not callable(getattr(self.rate_r, "integral", None)):
+            raise ContractViolationError("short rate needs an integral(t) antiderivative")
 
     def validate(self, probe_points=None, n_times=9):
         """Run the smooth-coefficient sampler and the xi invariants."""
@@ -266,55 +290,23 @@ class MbsModel:
         return True
 
 
-class _CachedIntegral:
-    """Adaptive quadrature of a rate function with per-argument caching."""
-
-    def __init__(self, g, breaks=None, tol=1e-12):
-        self.g = g
-        self.tol = tol
-        self.breaks = sorted(float(b) for b in (breaks or []))
-        self._cache = {0.0: 0.0}
-
-    def __call__(self, t):
-        t = float(t)
-        if t in self._cache:
-            return self._cache[t]
-        from scipy.integrate import quad
-
-        pts = [b for b in self.breaks if 0.0 < b < t] or None
-        val, err = quad(self.g, 0.0, t, epsabs=self.tol, epsrel=1e-12, limit=400, points=pts)
-        if not np.isfinite(val):
-            raise IntegrationError("rate integral did not converge", t=t)
-        self._cache[t] = val
-        return val
-
-
 def discount_and_xi(model):
     """Money-market factor xi and the pathwise discount D.
 
-    xi(t) = exp(int_0^t r(s) ds) and D(t, s) = exp(-int_t^s r(T - k) dk),
-    both computed by adaptive quadrature with absolute tolerance 1e-12.
-    D is multiplicative: D(t, s) D(s, v) = D(t, v).
+    With R the antiderivative of the short rate (``rate_r.integral``),
+    xi(t) = exp(R(t)) and D(t, s) = exp(-int_t^s r(T - k) dk)
+    = exp(R(T - s) - R(T - t)). D is multiplicative: D(t, s) D(s, v) = D(t, v).
     """
-    r = model.rate_r
+    R = model.rate_r.integral
     T = model.horizon
-    breaks = list(getattr(r, "breaks", []))
-    fwd = _CachedIntegral(lambda s: float(r(s)), breaks=breaks)
-    rev_breaks = [T - b for b in breaks]
-    rev = _CachedIntegral(lambda s: float(r(T - s)), breaks=rev_breaks)
 
     def xi(t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return float(np.exp(fwd(float(t))))
-        return np.exp([fwd(v) for v in t.ravel()]).reshape(t.shape)
+        out = np.exp(R(np.asarray(t, dtype=float)))
+        return float(out) if out.ndim == 0 else out
 
     def discount(t, s):
-        s = np.asarray(s, dtype=float)
-        base = rev(float(t))
-        if s.ndim == 0:
-            return float(np.exp(-(rev(float(s)) - base)))
-        return np.exp([-(rev(v) - base) for v in s.ravel()]).reshape(s.shape)
+        out = np.exp(R(T - np.asarray(s, dtype=float)) - R(T - float(t)))
+        return float(out) if out.ndim == 0 else out
 
     return xi, discount
 
@@ -398,6 +390,8 @@ def mbs_price_problem(model, sigma, mu, value_interval=(-1.0, 2.0), norms=None):
             xi_min=xs_min,
         )
     d = np.asarray(sigma(0.0)).shape[1]
+    if not model.dim >= d >= 1:
+        raise ContractViolationError("need N >= d >= 1", dim=model.dim, noise_dim=d)
 
     def quad_coeff(x, t, u):
         return rho / (u + h(x, t) + float(xi(t)))

@@ -226,6 +226,7 @@ class BoundConstants:
 
 
 def _p_candidates(problem, x_lat, t, p_cap, n_random, rng):
+    """Gradient candidates stacked as (candidates, lattice points, N)."""
     dim = problem.dim
     cands = [np.zeros(dim)]
     if p_cap > 0.0:
@@ -241,19 +242,14 @@ def _p_candidates(problem, x_lat, t, p_cap, n_random, rng):
             v = rng.standard_normal(dim)
             v /= np.linalg.norm(v)
             cands.append(p_cap * v)
+        # per-point alignments with the drift and with sigma w
         mu_val = np.asarray(problem.drift(x_lat, t), dtype=float)
-        norms = np.linalg.norm(mu_val, axis=-1, keepdims=True)
-        safe = np.where(norms > 1e-300, norms, 1.0)
-        aligned = p_cap * mu_val / safe
-        pointwise = [aligned, -aligned]
-        wv = np.asarray(problem.w(x_lat, t), dtype=float)
-        swv = wv @ sig.T
-        norms = np.linalg.norm(swv, axis=-1, keepdims=True)
-        safe = np.where(norms > 1e-300, norms, 1.0)
-        aligned_w = p_cap * swv / safe
-        pointwise.extend([aligned_w, -aligned_w])
-        return cands, pointwise
-    return cands, []
+        sw_val = np.asarray(problem.w(x_lat, t), dtype=float) @ sig.T
+        for vec in (mu_val, sw_val):
+            norms = np.linalg.norm(vec, axis=-1, keepdims=True)
+            aligned = p_cap * vec / np.where(norms > 1e-300, norms, 1.0)
+            cands.extend([aligned, -aligned])
+    return np.stack([np.broadcast_to(c, x_lat.shape) for c in cands])
 
 
 def initial_slope_bound(
@@ -273,7 +269,8 @@ def initial_slope_bound(
     The gradient candidates sit on the cap sphere (axis directions, the top
     singular direction of sigma, seeded random directions, and per-point
     alignments with the drift and the sigma w field); the Hessian candidates
-    are 0 and +/- cap * identity, where the trace term is extremal.
+    are 0 and +/- cap * identity, where the trace term is extremal. H is
+    evaluated at X = 0 and the trace caps are added afterwards.
     """
     dim = problem.dim
     if lattice_stride is None:
@@ -285,43 +282,20 @@ def initial_slope_bound(
     u_samples = np.linspace(lo, hi, n_u)
     times = np.linspace(0.0, horizon * (1.0 - 1e-9), n_times)
     rng = np.random.default_rng(seed)
+    zero_hess = np.zeros((dim, dim))
 
     worst = 0.0
     for t in times:
-        sig = np.asarray(problem.sigma(t), dtype=float)
-        a_mat = sig @ sig.T
         trace_caps = [0.0]
         if hess_cap > 0.0:
-            tr = float(np.trace(a_mat))
+            tr = float(np.trace(problem.sigma_sq(t)))
             trace_caps.extend([-0.5 * hess_cap * tr, 0.5 * hess_cap * tr])
-        fixed, pointwise = _p_candidates(problem, x_lat, t, p_cap, n_random_dirs, rng)
-        mu_val = np.asarray(problem.drift(x_lat, t), dtype=float)
-        w_val = np.asarray(problem.w(x_lat, t), dtype=float)
+        cands = _p_candidates(problem, x_lat, t, p_cap, n_random_dirs, rng)
         for u in u_samples:
             u_arr = np.full(x_lat.shape[0], float(u))
-            quad = np.asarray(problem.quad_coeff(x_lat, t, u_arr), dtype=float)
-            cross = np.asarray(problem.cross_coeff(x_lat, t, u_arr), dtype=float)
-            src = np.asarray(problem.source(x_lat, t, u_arr), dtype=float)
-            for p in fixed:
-                sp = sig.T @ p
-                base = (
-                    mu_val @ p
-                    + quad * float(sp @ sp)
-                    + cross * (w_val @ sp)
-                    + src
-                )
-                for tc in trace_caps:
-                    worst = max(worst, float(np.max(np.abs(tc + base))))
-            for parr in pointwise:
-                sp = parr @ sig
-                base = (
-                    np.einsum("...i,...i->...", mu_val, parr)
-                    + quad * np.sum(sp * sp, axis=-1)
-                    + cross * np.sum(w_val * sp, axis=-1)
-                    + src
-                )
-                for tc in trace_caps:
-                    worst = max(worst, float(np.max(np.abs(tc + base))))
+            base = problem.hamiltonian(x_lat, t, u_arr, cands, zero_hess)
+            for tc in trace_caps:
+                worst = max(worst, float(np.max(np.abs(tc + base))))
     return worst
 
 
@@ -419,20 +393,28 @@ def initial_deviation_check(field, c0_init, tolerance, horizon_fraction=1.0, col
     )
 
 
-def field_sup_norms(values, axes):
-    """Sup norms (value, gradient, Hessian) of one grid slice."""
-    dim = len(axes)
+def _slice_sups(values, axes, box):
+    """Sups of |u|, |grad u| and |hess u| of one slice over ``box``.
+
+    Derivatives are second-order ``np.gradient`` differences of the whole
+    slice; only their values inside ``box`` count.
+    """
     comps = np.gradient(values, *axes, edge_order=2)
-    if dim == 1:
+    if len(axes) == 1:
         comps = [comps]
-    grad_sup = max(float(np.max(np.abs(g))) for g in comps)
+    grad_sup = max(float(np.max(np.abs(g[box]))) for g in comps)
     hess_sup = 0.0
     for g in comps:
         second = np.gradient(g, *axes, edge_order=2)
-        if dim == 1:
+        if len(axes) == 1:
             second = [second]
-        hess_sup = max(hess_sup, max(float(np.max(np.abs(s))) for s in second))
-    return float(np.max(np.abs(values))), grad_sup, hess_sup
+        hess_sup = max(hess_sup, max(float(np.max(np.abs(s[box]))) for s in second))
+    return float(np.max(np.abs(values[box]))), grad_sup, hess_sup
+
+
+def field_sup_norms(values, axes):
+    """Sup norms (value, gradient, Hessian) of one grid slice."""
+    return _slice_sups(values, axes, ())
 
 
 def solution_sobolev_norms(field, collar=4, stride=1):
@@ -442,18 +424,7 @@ def solution_sobolev_norms(field, collar=4, stride=1):
     w1 = 0.0
     w2 = 0.0
     for k in range(0, grid.steps + 1, stride):
-        u = field.values[k]
-        comps = np.gradient(u, *grid.axes, edge_order=2)
-        if grid.dim == 1:
-            comps = [comps]
-        gmax = max(float(np.max(np.abs(g[box]))) for g in comps)
-        hmax = 0.0
-        for g in comps:
-            second = np.gradient(g, *grid.axes, edge_order=2)
-            if grid.dim == 1:
-                second = [second]
-            hmax = max(hmax, max(float(np.max(np.abs(s[box]))) for s in second))
-        val = float(np.max(np.abs(u[box])))
+        val, gmax, hmax = _slice_sups(field.values[k], grid.axes, box)
         w1 = max(w1, val + gmax)
         w2 = max(w2, val + gmax + hmax)
     return w1, w2

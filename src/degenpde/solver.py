@@ -3,7 +3,8 @@
 Discretization: central second differences contracted against sigma sigma^T,
 upwind first differences for the drift term (direction picked per component
 from the drift sign), central differences for the gradient inside the
-quadratic and cross terms, forward Euler in time. Boundary nodes are filled
+quadratic and cross terms, forward Euler in time; the stencil hands these
+to ``ProblemSpec.hamiltonian``, which alone evaluates H. Boundary nodes are filled
 by linear extrapolation of the two nearest interior nodes, so the second
 difference vanishes at the boundary; all diagnostics exclude a configurable
 boundary collar.
@@ -151,7 +152,7 @@ def stable_step_count(
 
 
 class SolutionField:
-    """Grid-sampled solution over space x time with cached derivative arrays."""
+    """Grid-sampled solution over space x time with cached Hamiltonian slices."""
 
     def __init__(self, values, grid, problem=None, variable="u"):
         values = np.asarray(values, dtype=float)
@@ -166,13 +167,7 @@ class SolutionField:
         self.problem = problem
         self.variable = variable
         self.times = grid.times
-        self.clamp_report = {
-            "roundoff_clamped_nodes": 0,
-            "fraction_outside_tolerance": 0.0,
-            "max_excess": 0.0,
-        }
-        self._grad_cache = {}
-        self._hess_cache = {}
+        self.clamp_report = {"roundoff_clamped_nodes": 0, "max_excess": 0.0}
         self._mesh = None
         self._h_cache = {}
 
@@ -186,29 +181,6 @@ class SolutionField:
         if self._mesh is None:
             self._mesh = self.grid.mesh()
         return self._mesh
-
-    def gradient(self, k):
-        """Central-difference spatial gradient of slice k, shape (*grid, N)."""
-        if k not in self._grad_cache:
-            comps = np.gradient(self.values[k], *self.grid.axes, edge_order=2)
-            if self.grid.dim == 1:
-                comps = [comps]
-            self._grad_cache[k] = np.stack(comps, axis=-1)
-        return self._grad_cache[k]
-
-    def hessian(self, k):
-        if k not in self._hess_cache:
-            g = self.gradient(k)
-            n = self.grid.dim
-            hess = np.empty(self.values[k].shape + (n, n))
-            for i in range(n):
-                comps = np.gradient(g[..., i], *self.grid.axes, edge_order=2)
-                if n == 1:
-                    comps = [comps]
-                for j in range(n):
-                    hess[..., i, j] = comps[j]
-            self._hess_cache[k] = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-        return self._hess_cache[k]
 
     def interior_hamiltonian(self, k):
         if k not in self._h_cache:
@@ -243,51 +215,39 @@ def _interior_mesh(grid):
 
 
 def _interior_hamiltonian(problem, grid, u, t):
-    """Vectorized discrete H over the interior nodes of one time slice."""
+    """Discrete H over the interior nodes of one time slice.
+
+    X holds the central second differences (cross differences only where
+    sigma sigma^T couples the two axes), p the central first differences and
+    the drift's gradient the one-sided difference on the upwind side.
+    """
     n = grid.dim
     dx = grid.dx
     inner = tuple(slice(1, -1) for _ in range(n))
     center = u[inner]
     x_int = _interior_mesh(grid)
+    a_mat = problem.sigma_sq(t)
+    drift = np.asarray(problem.drift(x_int, t), dtype=float)
 
-    sig = np.asarray(problem.sigma(t), dtype=float)
-    a_mat = sig @ sig.T
-
-    trace = np.zeros_like(center)
-    grad_c = np.empty(center.shape + (n,))
+    X = np.zeros(center.shape + (n, n))
+    p = np.empty(center.shape + (n,))
+    upwind = np.empty(center.shape + (n,))
     for i in range(n):
         plus = _shifted(u, n, i, +1)
         minus = _shifted(u, n, i, -1)
-        trace += a_mat[i, i] * (plus - 2.0 * center + minus) / dx[i] ** 2
-        grad_c[..., i] = (plus - minus) / (2.0 * dx[i])
-    for i in range(n):
+        X[..., i, i] = (plus - 2.0 * center + minus) / dx[i] ** 2
+        p[..., i] = (plus - minus) / (2.0 * dx[i])
+        upwind[..., i] = np.where(drift[..., i] > 0.0, center - minus, plus - center) / dx[i]
         for j in range(i + 1, n):
             if a_mat[i, j] == 0.0:
                 continue
-            cross = (
+            X[..., i, j] = X[..., j, i] = (
                 _shifted(u, n, i, +1, j, +1)
                 - _shifted(u, n, i, +1, j, -1)
                 - _shifted(u, n, i, -1, j, +1)
                 + _shifted(u, n, i, -1, j, -1)
             ) / (4.0 * dx[i] * dx[j])
-            trace += 2.0 * a_mat[i, j] * cross
-
-    drift = np.asarray(problem.drift(x_int, t), dtype=float)
-    advect = np.zeros_like(center)
-    for i in range(n):
-        fwd = (_shifted(u, n, i, +1) - center) / dx[i]
-        bwd = (center - _shifted(u, n, i, -1)) / dx[i]
-        a_i = drift[..., i]
-        advect += a_i * np.where(a_i > 0.0, bwd, fwd)
-
-    sp = grad_c @ sig  # (..., d)
-    quad = np.asarray(problem.quad_coeff(x_int, t, center), dtype=float)
-    cross_c = np.asarray(problem.cross_coeff(x_int, t, center), dtype=float)
-    w_val = np.asarray(problem.w(x_int, t), dtype=float)
-    nonlinear = quad * np.sum(sp * sp, axis=-1) + cross_c * np.sum(sp * w_val, axis=-1)
-
-    source = np.asarray(problem.source(x_int, t, center), dtype=float)
-    return -0.5 * trace + advect + nonlinear + source
+    return problem.hamiltonian(x_int, t, center, p, X, drift_p=upwind)
 
 
 def discretize_hamiltonian(field, k, i):
@@ -381,11 +341,7 @@ def solve(problem, u0, grid, theta=DEFAULT_THETA, variable=None):
         field.values[k + 1] = new
         clamped_total += clamped
         max_excess = max(max_excess, worst)
-    field.clamp_report = {
-        "roundoff_clamped_nodes": clamped_total,
-        "fraction_outside_tolerance": 0.0,
-        "max_excess": max_excess,
-    }
+    field.clamp_report = {"roundoff_clamped_nodes": clamped_total, "max_excess": max_excess}
     return field
 
 

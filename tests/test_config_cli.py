@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import degenpde
-from degenpde import cli
+from degenpde import cli, regularity
 from degenpde.cli import main
 from degenpde.config import load_config, parse_family
-from degenpde.errors import ConfigurationError, StabilityError
+from degenpde.errors import ConfigurationError, ContractViolationError, StabilityError
 from degenpde.reporting import (
     dumps_json,
     format_float,
@@ -18,6 +18,8 @@ from degenpde.reporting import (
     write_field_csv,
 )
 from degenpde.solver import GridSpec, SolutionField
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BENCH_INI = """
 [model]
@@ -190,7 +192,6 @@ class TestCli:
             assert os.path.exists(os.path.join(out, name))
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert summary["variable"] == "U"
-        assert summary["clamp_report"]["fraction_outside_tolerance"] == 0.0
 
     def test_verify_duality_pipeline(self, bench_config, tmp_path):
         out = str(tmp_path / "dual")
@@ -322,6 +323,13 @@ def test_theta_cap_enforced(tmp_path):
         load_config(str(path))
 
 
+def test_mbs_config_needs_at_least_as_many_factors_as_noises(tmp_path):
+    path = tmp_path / "wide.ini"
+    path.write_text(BENCH_INI.replace("sigma = constant:1\n", "sigma = constant:1 1\n"))
+    with pytest.raises(ContractViolationError):
+        load_config(str(path))
+
+
 def test_affine_initial_family(tmp_path):
     ini = GENERAL_INI.replace("initial = gaussian:1,0,1", "initial = affine:slope=0.05,intercept=0.2")
     path = tmp_path / "affine.ini"
@@ -381,6 +389,18 @@ def test_counterexample_does_not_load_scipy():
     assert not _scipy_loaded_after(code)
 
 
+def test_benchmark_config_load_does_not_load_scipy():
+    path = os.path.join(REPO, "configs", "benchmark.ini")
+    assert not _scipy_loaded_after(f"from degenpde.config import load_config\nload_config({path!r})")
+
+
+def test_price_does_not_load_scipy(bench_config, tmp_path):
+    field_dir = str(tmp_path / "field")
+    assert main(["solve", "--config", bench_config, "--out", field_dir]) == 0
+    args = ["price", "--config", bench_config, "--field", field_dir, "--mode", "pw", "--out", str(tmp_path)]
+    assert not _scipy_loaded_after(f"from degenpde.cli import main\nassert main({args!r}) == 0")
+
+
 @pytest.mark.parametrize("command", ["verify-duality", "diagnose-regularity"])
 def test_residual_computed_once_per_run(command, bench_config, tmp_path, monkeypatch):
     calls = []
@@ -393,3 +413,24 @@ def test_residual_computed_once_per_run(command, bench_config, tmp_path, monkeyp
     monkeypatch.setattr(cli, "residual_field", counted)
     assert main([command, "--config", bench_config, "--out", str(tmp_path / "run")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "command,config", [("verify-duality", "bench_config"), ("diagnose-regularity", "general_config")]
+)
+def test_slope_bound_computed_once_per_report(command, config, request, tmp_path, monkeypatch):
+    # the general kind carries coefficient norms, so its report also has the
+    # time-Lipschitz bound, which reuses the same slope bound
+    calls = []
+    slope_bound = regularity.initial_slope_bound
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return slope_bound(*args, **kwargs)
+
+    monkeypatch.setattr(regularity, "initial_slope_bound", counted)
+    out = str(tmp_path / "run")
+    assert main([command, "--config", request.getfixturevalue(config), "--out", out]) == 0
+    assert len(calls) == 1
+    report = json.loads(open(os.path.join(out, "regularity.json")).read())
+    assert ("time_lipschitz" in report) == (config == "general_config")

@@ -6,7 +6,9 @@ from degenpde.families import (
     SpaceTimeField,
     affine_field,
     constant_field,
+    constant_rate,
     gaussian_bump_field,
+    linear_rate,
     piecewise_rate,
     zero_field,
 )
@@ -66,6 +68,32 @@ class TestPiecewiseRate:
         xi, disc = discount_and_xi(model)
         assert xi(1.0) == pytest.approx(np.exp(0.2), rel=1e-10)
         assert disc(0.0, 1.0) == pytest.approx(np.exp(-0.2), rel=1e-10)
+
+
+class TestRateIntegrals:
+    # piecewise times fall before the first break, between breaks and past
+    # the last one
+    TIMES = [0.05, 0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 2.5]
+
+    @pytest.mark.parametrize(
+        "rate,breaks",
+        [
+            (constant_rate(0.03), []),
+            (linear_rate(1.5, -0.2), []),
+            (piecewise_rate([0.5, 1.0, 1.5], [0.1, 0.3, 0.2]), [0.5, 1.0]),
+        ],
+        ids=["constant", "linear", "piecewise"],
+    )
+    def test_integral_matches_quadrature(self, rate, breaks):
+        from scipy.integrate import quad
+
+        for t in self.TIMES:
+            pts = [b for b in breaks if 0.0 < b < t] or None
+            ref, _ = quad(lambda s: float(rate(s)), 0.0, t, epsabs=1e-16, epsrel=1e-13, points=pts)
+            assert float(rate.integral(t)) == pytest.approx(ref, rel=1e-14)
+        np.testing.assert_array_equal(
+            rate.integral(np.asarray(self.TIMES)), [rate.integral(t) for t in self.TIMES]
+        )
 
 
 class TestAdaptiveIntegrator:

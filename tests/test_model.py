@@ -11,6 +11,7 @@ from degenpde.families import (
     constant_rate,
     constant_sigma,
     gaussian_bump_field,
+    linear_drift,
     linear_rate,
     zero_drift,
     zero_field,
@@ -89,6 +90,37 @@ def test_hamiltonian_linear_in_hessian():
         h2 = hamiltonian_eval(x, t, u, p, x2, coeffs)
         h0 = hamiltonian_eval(x, t, u, p, np.zeros((1, 1)), coeffs)
         assert h_sum - h1 - h2 + h0 == pytest.approx(0.0, abs=1e-12)
+
+
+def test_hamiltonian_rows_match_pointwise_calls():
+    # the vectorized call is the pointwise one applied row by row, and an
+    # explicit drift_p replaces p in the drift term only
+    sig = np.array([[1.0, 0.0], [0.5, 0.8]])
+    coeffs = make_general_coeffs(
+        dim=2,
+        sigma_matrix=sig,
+        mu=linear_drift(2, -0.7),
+        lambda_fn=lambda u: 0.3 / np.asarray(u, dtype=float),
+        eta_fn=lambda u: -0.2 * np.asarray(u, dtype=float),
+        f=lambda x, t, u: np.sin(x[..., 0]) * u,
+        w=lambda x, t: np.stack([np.cos(x[..., 1]), x[..., 0]], axis=-1),
+        domain=(0.0, np.inf),
+        value_interval=(0.5, 2.0),
+    )
+    problem = coeffs.as_problem()
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-2.0, 2.0, size=(6, 2))
+    u = rng.uniform(0.6, 1.9, size=6)
+    p = rng.normal(size=(6, 2))
+    q = rng.normal(size=(6, 2))
+    A = rng.normal(size=(6, 2, 2))
+    X = A + np.swapaxes(A, -1, -2)
+    rows = problem.hamiltonian(x, 0.4, u, p, X)
+    pointwise = [problem.hamiltonian(x[i], 0.4, u[i], p[i], X[i]) for i in range(6)]
+    np.testing.assert_allclose(rows, pointwise, rtol=1e-14, atol=1e-14)
+    shifted = problem.hamiltonian(x, 0.4, u, p, X, drift_p=q)
+    drift_change = np.sum(-0.7 * x * (q - p), axis=-1)
+    np.testing.assert_allclose(shifted - rows, drift_change, rtol=1e-12, atol=1e-12)
 
 
 class TestMbsToGeneral:
@@ -189,6 +221,56 @@ class TestMbsToGeneral:
             worst = max(worst, abs(pricing_resid - general_resid))
         assert worst < 1e-9
 
+    def test_price_problem_matches_general_reduction_on_probes(self):
+        # Shared oracle for the two reductions of the pricing equation: with a
+        # drift and a time-dependent rate, the residual dU/dt + H of
+        # mbs_price_problem equals the general-form residual of u = U + h + xi.
+        h = gaussian_bump_field(1, amplitude=0.8, center=0.3, width=1.2, ramp=3.0)
+        model = MbsModel(
+            rho=0.5, coupon_tau=0.06, rate_r=linear_rate(0.05, 0.02), principal_h=h, horizon=1.0
+        )
+        sigma = constant_sigma([[0.9]])
+        mu = linear_drift(1, -0.7)
+        price = mbs_price_problem(model, sigma, mu, value_interval=(-0.5, 2.0))
+        general = mbs_to_general(model, sigma, mu, value_interval=(0.05, 6.0)).as_problem()
+        xi, _ = discount_and_xi(model)
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        for _ in range(50):
+            a0, a1, a2, b0 = rng.normal(scale=0.3, size=4)
+            probe = SpaceTimeField(
+                fn=lambda x, t, a0=a0, a1=a1, a2=a2, b0=b0: (
+                    a0 + a1 * x[..., 0] + a2 * x[..., 0] ** 2 + b0 * t * np.sin(x[..., 0])
+                ),
+                grad=lambda x, t, a1=a1, a2=a2, b0=b0: (
+                    a1 + 2.0 * a2 * x[..., 0] + b0 * t * np.cos(x[..., 0])
+                )[..., None],
+                hess=lambda x, t, a2=a2, b0=b0: (
+                    2.0 * a2 - b0 * t * np.sin(x[..., 0])
+                )[..., None, None],
+                dt=lambda x, t, b0=b0: b0 * np.sin(x[..., 0]),
+                dim=1,
+            )
+            x = rng.uniform(-2.0, 2.0, size=(8, 1))
+            t = rng.uniform(0.05, 0.9)
+            U = probe(x, t)
+            u = U + h(x, t) + xi(t)
+            keep = u > 0.2
+            price_resid = probe.time_derivative(x, t) + price.hamiltonian(
+                x, t, U, probe.grad(x, t), probe.hess(x, t)
+            )
+            general_resid = (
+                probe.time_derivative(x, t)
+                + h.time_derivative(x, t)
+                + float(model.rate_r(t)) * xi(t)
+                + general.hamiltonian(
+                    x, t, u, probe.grad(x, t) + h.grad(x, t), probe.hess(x, t) + h.hess(x, t)
+                )
+            )
+            diff = np.abs(price_resid - general_resid)[keep]
+            worst = max(worst, float(diff.max(initial=0.0)))
+        assert worst < 1e-9
+
     def test_positivity_guard(self):
         model = make_benchmark_model()
         with pytest.raises(PositivityError):
@@ -226,6 +308,16 @@ class TestDiscountAndXi:
         ss = np.linspace(0.0, 1.0, 11)
         vals = disc(0.0, ss)
         assert np.all(np.diff(vals) < 0.0)
+
+    def test_rate_without_integral_rejected(self):
+        with pytest.raises(ContractViolationError):
+            MbsModel(
+                rho=0.5,
+                coupon_tau=0.06,
+                rate_r=lambda t: 0.03 + 0.0 * np.asarray(t, dtype=float),
+                principal_h=zero_field(1),
+                horizon=1.0,
+            )
 
     def test_xi_invariants_checked(self):
         model = make_benchmark_model()
