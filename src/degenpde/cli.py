@@ -2,9 +2,11 @@
 
 Subcommands: solve, price, verify-duality, diagnose-regularity,
 diagnose-degeneracy, transform-check, counterexample. Outputs are CSV for
-data and JSON for reports, plus a manifest with every resolved parameter and
-seed. Reruns with the same seed are byte-identical; exit status is nonzero
-exactly when a module raised an error.
+data and JSON for reports. Every command that writes to ``--out`` also
+writes a manifest with every resolved parameter and seed, except ``price``,
+whose flag overrides the manifest does not record. Reruns with the same seed
+are byte-identical; exit status is nonzero exactly when a module raised an
+error.
 """
 
 import argparse
@@ -38,7 +40,7 @@ from .reporting import (
     write_json,
     write_table_csv,
 )
-from .solver import residual_field, solve
+from .solver import SolutionField, residual_field, solve
 from .transform import invert, primitive_lambda, solve_Q, structural_check
 
 __all__ = ["main", "run_experiment"]
@@ -139,12 +141,8 @@ def _regularity_report(cfg, field, res=None, max_slices=160):
     return report
 
 
-def _pricing_reports(cfg, field):
-    if cfg.model is None:
-        raise ConfigurationError("pricing needs an mbs model section")
-    mc = cfg.mc
-    if not mc:
-        raise ConfigurationError("pricing needs an [mc] section")
+def _price(cfg, field, mc):
+    """Price ``field`` with the resolved ``[mc]`` settings; the report as a dict."""
     rep = price_and_compare(
         cfg.model,
         field,
@@ -158,28 +156,46 @@ def _pricing_reports(cfg, field):
         mode=mc["mode"],
         chunk_size=mc["chunk"],
     )
-    return rep.as_dict() if mc["mode"] == "both" else {mc["mode"]: rep.as_dict()}
+    return rep.as_dict()
+
+
+def _write_outputs(cfg, out_dir, outputs):
+    """Write each artifact, then the manifest naming them all.
+
+    ``outputs`` maps a file name to its payload: a dict is written as JSON, a
+    SolutionField as the field CSV and a ``(header, columns)`` pair as a table
+    CSV. Returns ``{stem: path}`` for every file written, the manifest included.
+    """
+    paths = {}
+    for name, payload in outputs.items():
+        path = os.path.join(out_dir, name)
+        if isinstance(payload, dict):
+            write_json(path, payload)
+        elif isinstance(payload, SolutionField):
+            write_field_csv(payload, path)
+        else:
+            header, columns = payload
+            write_table_csv(path, header, columns)
+        paths[os.path.splitext(name)[0]] = path
+    manifest = dict(cfg.manifest, artifacts=sorted(outputs))
+    paths["manifest"] = write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    return paths
 
 
 def run_experiment(cfg, out_dir):
     """solve -> diagnose -> price -> compare, writing every artifact."""
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts = {}
     field, res, summary = _solve_with_summary(cfg)
-    artifacts["field"] = write_field_csv(field, os.path.join(out_dir, "field.csv"))
-    artifacts["summary"] = write_json(os.path.join(out_dir, "summary.json"), summary)
+    outputs = {"field.csv": field, "summary.json": summary}
     if cfg.diagnostics.get("regularity"):
-        report = _regularity_report(cfg, field, res)
-        artifacts["regularity"] = write_json(os.path.join(out_dir, "regularity.json"), report)
+        outputs["regularity.json"] = _regularity_report(cfg, field, res)
     if cfg.model is not None and cfg.mc:
-        pricing = _pricing_reports(cfg, field)
+        mode = cfg.mc["mode"]
+        pricing = _price(cfg, field, cfg.mc)
+        if mode != "both":
+            pricing = {mode: pricing}
         pricing["residual_max"] = res.max
-        artifacts["pricing"] = write_json(os.path.join(out_dir, "pricing.json"), pricing)
-    manifest = dict(cfg.manifest)
-    manifest["artifacts"] = sorted(os.path.basename(p) for p in artifacts.values())
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    artifacts["manifest"] = os.path.join(out_dir, "manifest.json")
-    return artifacts
+        outputs["pricing.json"] = pricing
+    return _write_outputs(cfg, out_dir, outputs)
 
 
 def _load_field_arg(field_arg):
@@ -193,14 +209,9 @@ def _load_field_arg(field_arg):
 
 def cmd_solve(args):
     cfg = load_config(args.config)
-    field, res, summary = _solve_with_summary(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    write_field_csv(field, os.path.join(args.out, "field.csv"))
-    write_json(os.path.join(args.out, "summary.json"), summary)
-    manifest = dict(cfg.manifest)
-    manifest["artifacts"] = ["field.csv", "summary.json"]
-    write_json(os.path.join(args.out, "manifest.json"), manifest)
-    print(os.path.join(args.out, "summary.json"))
+    field, _, summary = _solve_with_summary(cfg)
+    paths = _write_outputs(cfg, args.out, {"field.csv": field, "summary.json": summary})
+    print(paths["summary"])
     return 0
 
 
@@ -209,46 +220,26 @@ def cmd_price(args):
     if cfg.model is None:
         raise ConfigurationError("price needs an mbs model configuration")
     field = _load_field_arg(args.field)
-    mc = dict(cfg.mc) if cfg.mc else {}
-    n_paths = args.paths or mc.get("paths", 100_000)
-    n_steps = args.steps or mc.get("steps", 500)
-    seed = args.seed if args.seed is not None else mc.get("seed", 0)
-    mode = args.mode or mc.get("mode", "q")
-    if mode == "both":
-        mode = "q"
-    rep = price_and_compare(
-        cfg.model,
-        field,
-        cfg.sigma,
-        cfg.mu,
-        x0=np.asarray(mc.get("x0", [0.0] * cfg.dim)),
-        price_time=mc.get("price_time", 0.0),
-        n_paths=n_paths,
-        n_steps=n_steps,
-        seed=seed,
-        mode=mode,
-        chunk_size=mc.get("chunk", 50_000),
-    )
-    payload = rep.as_dict()
+    mc = {
+        "paths": 100_000,
+        "steps": 500,
+        "seed": 0,
+        "mode": "q",
+        "x0": [0.0] * cfg.dim,
+        "price_time": 0.0,
+        "chunk": 50_000,
+        **cfg.mc,
+    }
+    mc["paths"] = args.paths or mc["paths"]
+    mc["steps"] = args.steps or mc["steps"]
+    if args.seed is not None:
+        mc["seed"] = args.seed
+    mode = args.mode or mc["mode"]
+    mc["mode"] = "q" if mode == "both" else mode
+    payload = _price(cfg, field, mc)
     sys.stdout.write(dumps_json(payload))
     if args.out:
         write_json(os.path.join(args.out, "pricing.json"), payload)
-    if args.payoff_csv:
-        ens = simulate(
-            cfg.sigma,
-            cfg.mu,
-            np.asarray(mc.get("x0", [0.0] * cfg.dim)),
-            mc.get("price_time", 0.0),
-            cfg.horizon,
-            n_steps,
-            min(n_paths, 10_000),
-            measure="P",
-            seed=seed,
-        )
-        from .montecarlo import payoff_discounted
-
-        pays = payoff_discounted(ens.states, ens.times, cfg.model)
-        write_table_csv(args.payoff_csv, ["path", "payoff"], [np.arange(len(pays)), pays])
     return 0
 
 
@@ -272,17 +263,12 @@ def cmd_diagnose_regularity(args):
     report = _regularity_report(cfg, field, res)
     sys.stdout.write(dumps_json({"lip_t": report["lip_t"], "variable": report["variable"]}))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_json(os.path.join(args.out, "regularity.json"), report)
         per = report["per_slice"]
-        write_table_csv(
-            os.path.join(args.out, "regularity_slices.csv"),
+        slices = (
             ["t", "L_minus", "L_plus", "lip_x"],
             [per["t"], per["L_minus"], per["L_plus"], per["lip_x"]],
         )
-        manifest = dict(cfg.manifest)
-        manifest["artifacts"] = ["regularity.json", "regularity_slices.csv"]
-        write_json(os.path.join(args.out, "manifest.json"), manifest)
+        _write_outputs(cfg, args.out, {"regularity.json": report, "regularity_slices.csv": slices})
     return 0
 
 
@@ -334,10 +320,7 @@ def cmd_diagnose_degeneracy(args):
         report["atom"] = {"heuristic": True, "m": 0, "empty": True}
     sys.stdout.write(dumps_json(report))
     if args.out:
-        write_json(os.path.join(args.out, "degeneracy.json"), report)
-        manifest = dict(cfg.manifest)
-        manifest["artifacts"] = ["degeneracy.json"]
-        write_json(os.path.join(args.out, "manifest.json"), manifest)
+        _write_outputs(cfg, args.out, {"degeneracy.json": report})
     return 0
 
 
@@ -365,13 +348,8 @@ def cmd_transform_check(args):
     report["q_knots"] = len(pair.tau_knots)
     sys.stdout.write(dumps_json(report))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_json(os.path.join(args.out, "transform.json"), report)
-        write_table_csv(
-            os.path.join(args.out, "transform_tabulation.csv"),
-            ["tau", "Q", "Qprime"],
-            [pair.tau_knots, pair.q_knots, pair.slope_knots],
-        )
+        tabulation = (["tau", "Q", "Qprime"], [pair.tau_knots, pair.q_knots, pair.slope_knots])
+        _write_outputs(cfg, args.out, {"transform.json": report, "transform_tabulation.csv": tabulation})
     return 0
 
 
@@ -411,7 +389,6 @@ def build_parser():
     p.add_argument("--mode", choices=["q", "pw"], default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--payoff-csv", default=None)
     p.set_defaults(func=cmd_price)
 
     p = sub.add_parser("verify-duality", help="solve, price both modes, compare")

@@ -151,21 +151,18 @@ class PricingKernel:
     """Girsanov kernel gamma built from a solved field and the model data."""
 
     def __init__(self, model, field, sigma):
+        if field.variable != "U":
+            raise ContractViolationError("pricing needs a price field U", variable=field.variable)
         self.model = model
         self.sigma = sigma
         self.interp = GradientInterpolant(field)
-        self.variable = field.variable
         self.xi, self.discount = discount_and_xi(model)
         self.floor = POSITIVITY_FLOOR_REL * float(self.xi(0.0))
         self.horizon = model.horizon
 
     def price_value(self, x, theta):
         """Price variable U at (x, theta) in equation time."""
-        u_val, _ = self.interp.evaluate(x, theta)
-        if self.variable == "U":
-            return u_val
-        h_val = self.model.principal_h(np.atleast_2d(x), theta)
-        return u_val - h_val - float(self.xi(theta))
+        return self.interp.evaluate(x, theta)[0]
 
     def counting_copy(self):
         """Copy sharing the interpolation tables but counting clamps apart."""
@@ -182,14 +179,8 @@ class PricingKernel:
         theta = self.horizon - s
         x = np.atleast_2d(np.asarray(x, dtype=float))
         u_val, grad = self.interp.evaluate(x, theta)
-        h = self.model.principal_h
-        h_val = h(x, theta)
-        if self.variable == "U":
-            denom = u_val + h_val + float(self.xi(theta))
-            grad_price = grad
-        else:
-            denom = u_val
-            grad_price = grad - h.grad(x, theta)
+        h_val = self.model.principal_h(x, theta)
+        denom = u_val + h_val + float(self.xi(theta))
         if np.any(denom < self.floor):
             bad = int(np.argmin(denom))
             raise DegeneracyError(
@@ -200,7 +191,7 @@ class PricingKernel:
                 floor=self.floor,
             )
         sig = np.asarray(self.sigma(theta), dtype=float)
-        return self.model.rho * (grad_price @ sig) / denom[:, None], h_val
+        return self.model.rho * (grad @ sig) / denom[:, None], h_val
 
 
 def simulate(

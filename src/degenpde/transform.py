@@ -277,6 +277,12 @@ def invert(pair):
     return p_spline
 
 
+def _lambda_tilde(pair, lambda_fn, tau):
+    """Gradient-quadratic coefficient lambda(Q) Q' - Q''/(2 Q') of the tau-equation."""
+    qp = pair.q_prime(tau)
+    return np.asarray(lambda_fn(pair.q(tau)), dtype=float) * qp - pair.q_second(tau) / (2.0 * qp)
+
+
 def transformed_problem(pair, coeffs):
     """Coefficients of the tau-equation obtained by substituting u = Q(tau).
 
@@ -284,15 +290,11 @@ def transformed_problem(pair, coeffs):
     form: lam_t = lambda(Q) Q' - Q''/(2 Q'), eta_t = eta(Q), source divided
     by Q'. The drift, volatility and w fields are unchanged.
     """
-    lam = coeffs.lambda_fn
     eta = coeffs.eta_fn
     f = coeffs.f
 
     def quad_coeff(x, t, tau):
-        qv = pair.q(tau)
-        qp = pair.q_prime(tau)
-        qpp = pair.q_second(tau)
-        return np.asarray(lam(qv), dtype=float) * qp - qpp / (2.0 * qp)
+        return _lambda_tilde(pair, coeffs.lambda_fn, tau)
 
     def cross_coeff(x, t, tau):
         return np.asarray(eta(pair.q(tau)), dtype=float)
@@ -351,13 +353,8 @@ def structural_check(pair, eta_fn, interval, n_probe=401):
     pad = 1.5 * h
     taus = np.linspace(tau_lo + pad, tau_hi - pad, n_probe)
 
-    lam_fn = pair.primitive.lambda_fn
-
     def lam_t(tau):
-        qv = pair.q(tau)
-        qp = pair.q_prime(tau)
-        qpp = pair.q_second(tau)
-        return np.asarray(lam_fn(qv), dtype=float) * qp - qpp / (2.0 * qp)
+        return _lambda_tilde(pair, pair.primitive.lambda_fn, tau)
 
     vals, d1, d2 = _fd_derivatives(lam_t, taus, h)
     disc = vals * d2 - 2.0 * d1**2

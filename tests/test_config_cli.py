@@ -12,10 +12,12 @@ from degenpde.cli import main
 from degenpde.config import load_config, parse_family
 from degenpde.errors import ConfigurationError, ContractViolationError, StabilityError
 from degenpde.reporting import (
+    CSV_BLOCK_ROWS,
     dumps_json,
     format_float,
     read_field_csv,
     write_field_csv,
+    write_table_csv,
 )
 from degenpde.solver import GridSpec, SolutionField
 
@@ -158,6 +160,22 @@ class TestReporting:
         assert s1 == s2
         parsed = json.loads(s1)
         assert parsed["a"] == [1, 2.25]
+
+    def test_table_csv_spells_values_as_format_float(self, tmp_path):
+        values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1.0 / 3.0, -2.5e300]
+        cols = [values, values[::-1]]
+        path = str(tmp_path / "table.csv")
+        write_table_csv(path, ["info", "nan_count"], cols)
+        lines = open(path).read().splitlines()
+        assert lines[0] == "info,nan_count"
+        assert lines[1:] == [",".join(format_float(c[i]) for c in cols) for i in range(len(values))]
+
+    def test_table_longer_than_one_block_round_trips(self, tmp_path):
+        rng = np.random.default_rng(3)
+        table = rng.normal(size=(2 * CSV_BLOCK_ROWS + 3, 3)) * 10.0 ** rng.integers(-300, 300, size=3)
+        path = str(tmp_path / "long.csv")
+        write_table_csv(path, ["a", "b", "c"], list(table.T))
+        np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=1), table)
 
     def test_field_csv_round_trip(self, tmp_path):
         grid = GridSpec(1, 2.0, 5, 3, 0.3)
@@ -434,3 +452,24 @@ def test_slope_bound_computed_once_per_report(command, config, request, tmp_path
     assert len(calls) == 1
     report = json.loads(open(os.path.join(out, "regularity.json")).read())
     assert ("time_lipschitz" in report) == (config == "general_config")
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["solve", "verify-duality", "diagnose-regularity", "diagnose-degeneracy", "transform-check"],
+)
+def test_manifest_lists_exactly_the_files_written(command, bench_config, tmp_path):
+    out = tmp_path / "run"
+    assert main([command, "--config", bench_config, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == sorted(set(os.listdir(out)) - {"manifest.json"})
+
+
+def test_price_rejects_a_general_kind_field(bench_config, general_config, tmp_path, capsys):
+    field_dir = str(tmp_path / "general")
+    assert main(["solve", "--config", general_config, "--out", field_dir]) == 0
+    capsys.readouterr()
+    assert main(["price", "--config", bench_config, "--field", field_dir, "--paths", "100"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "contract_violation"
+    assert err["details"]["variable"] == "u"
