@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import load_config
+from .config import load_config, mc_settings
 from .degeneracy import (
     continuity_diagnostic,
     counterexample_run,
@@ -70,11 +70,12 @@ def _regularity_report(cfg, field, res=None, max_slices=160):
         idx.append(grid.steps)
     times = [float(field.times[k]) for k in idx]
     l_minus, l_plus, w2 = [], [], []
+    boxed_sups = {}
     for k in idx:
         lm, lp = second_difference_constants(field, k, max_offset=cap, collar=collar)
         l_minus.append(lm)
         l_plus.append(lp)
-        sup, gsup, hsup = field_sup_norms(field.values[k], grid.axes)
+        (sup, gsup, hsup), boxed_sups[k] = field_sup_norms(field.values[k], grid.axes, collar=collar)
         w2.append(sup + gsup + hsup)
     lip = lipschitz_estimates(field, collar=collar)
     if res is None and field.problem is not None:
@@ -115,7 +116,9 @@ def _regularity_report(cfg, field, res=None, max_slices=160):
         _, gcap, hcap = field_sup_norms(u0, grid.axes)
         w_norms = None
         if field.problem.norms is not None:
-            w_norms = solution_sobolev_norms(field, collar=collar, stride=stride)
+            w_norms = solution_sobolev_norms(
+                field, collar=collar, stride=stride, slice_sups=boxed_sups
+            )
         bc = bound_constants(
             field.problem, grid.axes, grid.horizon, (gcap, hcap), solution_norms=w_norms
         )
@@ -220,16 +223,7 @@ def cmd_price(args):
     if cfg.model is None:
         raise ConfigurationError("price needs an mbs model configuration")
     field = _load_field_arg(args.field)
-    mc = {
-        "paths": 100_000,
-        "steps": 500,
-        "seed": 0,
-        "mode": "q",
-        "x0": [0.0] * cfg.dim,
-        "price_time": 0.0,
-        "chunk": 50_000,
-        **cfg.mc,
-    }
+    mc = dict(cfg.mc or mc_settings({}, cfg.dim))
     mc["paths"] = args.paths or mc["paths"]
     mc["steps"] = args.steps or mc["steps"]
     if args.seed is not None:

@@ -25,7 +25,7 @@ from .model import (
 )
 from .solver import DEFAULT_THETA, GridSpec, stable_step_count
 
-__all__ = ["ExperimentConfig", "load_config", "parse_family"]
+__all__ = ["ExperimentConfig", "load_config", "mc_settings", "parse_family"]
 
 
 def parse_family(spec):
@@ -168,6 +168,24 @@ def build_ufunc(spec):
         s = kw.get("scale", pos[0] if pos else 1.0)
         return fam.reciprocal_ufunc(s), {"family": "reciprocal", "scale": s}
     raise ConfigurationError("unknown u-function family", family=name)
+
+
+def mc_settings(raw, dim):
+    """Resolve Monte Carlo settings from raw ``[mc]`` strings.
+
+    ``raw`` is the ``[mc]`` section or any mapping with ``get(key, default)``;
+    the defaults here are the only ones, so ``mc_settings({}, dim)`` gives
+    the settings of a config without ``[mc]``.
+    """
+    return {
+        "paths": int(raw.get("paths", "100000")),
+        "steps": int(raw.get("steps", "500")),
+        "seed": int(raw.get("seed", "0")),
+        "mode": raw.get("mode", "both").strip(),
+        "x0": _parse_vector(raw.get("x0", "0.0"), dim).tolist(),
+        "price_time": float(raw.get("price_time", "0.0")),
+        "chunk": int(raw.get("chunk", "50000")),
+    }
 
 
 @dataclass
@@ -330,17 +348,7 @@ def load_config(path):
     def u0(mesh):
         return initial_field(mesh, 0.0)
 
-    mc = {}
-    if parser.has_section("mc"):
-        mc = {
-            "paths": int(_require(parser, "mc", "paths", "100000")),
-            "steps": int(_require(parser, "mc", "steps", "500")),
-            "seed": int(_require(parser, "mc", "seed", "0")),
-            "mode": _require(parser, "mc", "mode", "both").strip(),
-            "x0": _parse_vector(_require(parser, "mc", "x0", "0.0"), dim).tolist(),
-            "price_time": float(_require(parser, "mc", "price_time", "0.0")),
-            "chunk": int(_require(parser, "mc", "chunk", "50000")),
-        }
+    mc = mc_settings(parser["mc"], dim) if parser.has_section("mc") else {}
 
     diagnostics = {"regularity": False, "degeneracy": False, "offset_cap": None}
     if parser.has_section("diagnostics"):

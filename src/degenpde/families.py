@@ -271,11 +271,14 @@ def constant_sigma(matrix):
 
 
 # -- scalar u-functions (lambda / eta) ----------------------------------------
+#
+# Each carries a closed-form antiderivative as ``primitive(u)``.
 
 
 def zero_ufunc():
     fn = lambda u: np.zeros_like(np.asarray(u, dtype=float))
     fn.label = "zero"
+    fn.primitive = lambda u: np.zeros_like(np.asarray(u, dtype=float))
     return fn
 
 
@@ -283,6 +286,7 @@ def constant_ufunc(value):
     v = float(value)
     fn = lambda u: np.full_like(np.asarray(u, dtype=float), v)
     fn.label = "constant"
+    fn.primitive = lambda u: v * np.asarray(u, dtype=float)
     return fn
 
 
@@ -291,4 +295,5 @@ def reciprocal_ufunc(scale):
     s = float(scale)
     fn = lambda u: s / np.asarray(u, dtype=float)
     fn.label = "reciprocal"
+    fn.primitive = lambda u: s * np.log(np.asarray(u, dtype=float))
     return fn

@@ -6,6 +6,10 @@ a right-hand-side floor (saturation), the configured tau horizon, or blow-up.
 Blow-up is declared when the step controller drives the step below
 1e-14 * span while the right side is exploding; a step-size underflow without
 explosion raises a stiffness failure instead.
+
+The accepted knots with their exact slopes define a piecewise cubic Hermite
+interpolant (``CubicHermite``); the target crossing is located on the same
+cubic.
 """
 
 from dataclasses import dataclass
@@ -13,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import StiffnessError
+from .errors import ContractViolationError, StiffnessError
 
-__all__ = ["OdeResult", "integrate_increasing"]
+__all__ = ["CubicHermite", "OdeResult", "integrate_increasing"]
 
 _A = (
     (),
@@ -62,6 +66,69 @@ def _hermite(t0, y0, f0, t1, y1, f1, t):
     h01 = s * s * (3.0 - 2.0 * s)
     h11 = s * s * (s - 1.0)
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+
+
+def _hermite_slope(t0, y0, f0, t1, y1, f1, t):
+    """Derivative in t of ``_hermite``."""
+    h = t1 - t0
+    s = (t - t0) / h
+    return 6.0 * s * (s - 1.0) * (y0 - y1) / h + (1.0 - s) * (1.0 - 3.0 * s) * f0 + s * (3.0 * s - 2.0) * f1
+
+
+class CubicHermite:
+    """Piecewise cubic Hermite interpolant of values ``y`` and slopes ``d``.
+
+    The knots ``x`` must increase. Outside ``[x[0], x[-1]]`` the end cubics
+    continue.
+    """
+
+    def __init__(self, x, y, d):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        self.d = np.asarray(d, dtype=float)
+        if self.x.size < 2:
+            raise ContractViolationError("Hermite interpolant needs at least two knots", knots=self.x.size)
+
+    def _pieces(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
+        j = i + 1
+        return self.x[i], self.y[i], self.d[i], self.x[j], self.y[j], self.d[j], t
+
+    def __call__(self, t):
+        return _hermite(*self._pieces(t))
+
+    def derivative(self, t):
+        return _hermite_slope(*self._pieces(t))
+
+
+def _hermite_crossing(t0, y0, f0, t1, y1, f1, target, xtol):
+    """Time in (t0, t1) where the step's cubic Hermite reaches ``target``.
+
+    Needs y0 < target < y1. Newton steps on the cubic stay inside a shrinking
+    bracket; a step that leaves it, or does not halve the previous one,
+    becomes a bisection. Stops once a step is at most ``xtol``.
+    """
+    lo, hi = t0, t1
+    t = t0 + (t1 - t0) * (target - y0) / (y1 - y0)
+    last = hi - lo
+    for _ in range(200):
+        g = _hermite(t0, y0, f0, t1, y1, f1, t) - target
+        if g == 0.0:
+            return t
+        if g < 0.0:
+            lo = t
+        else:
+            hi = t
+        slope = _hermite_slope(t0, y0, f0, t1, y1, f1, t)
+        nxt = t - g / slope if slope > 0.0 else lo
+        if not (lo < nxt < hi and abs(2.0 * g) <= abs(last * slope)):
+            nxt = 0.5 * (lo + hi)
+        last = nxt - t
+        t = nxt
+        if abs(last) <= xtol:
+            break
+    return t
 
 
 def integrate_increasing(
@@ -155,13 +222,8 @@ def integrate_increasing(
         if target is not None and y5 >= target:
             t0p, y0p, f0p = t, y, f
             if y5 > target and y0p < target:
-                from scipy.optimize import brentq
-
-                t_star = brentq(
-                    lambda s: _hermite(t0p, y0p, f0p, t + h, y5, f1, s) - target,
-                    t0p,
-                    t + h,
-                    xtol=1e-15 * max(1.0, abs(t + h)),
+                t_star = _hermite_crossing(
+                    t0p, y0p, f0p, t + h, y5, f1, target, xtol=1e-15 * max(1.0, abs(t + h))
                 )
             else:
                 t_star = t + h

@@ -8,6 +8,8 @@ from coefficient norms. Boundary collars are excluded everywhere.
 """
 
 from dataclasses import dataclass, field as dataclass_field
+import math
+
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
@@ -15,6 +17,7 @@ from .errors import ConfigurationError, ContractViolationError
 __all__ = [
     "second_difference_constants",
     "EnvelopeFit",
+    "minimize_bounded",
     "envelope_fit",
     "LipschitzReport",
     "lipschitz_estimates",
@@ -124,6 +127,79 @@ def _linear_fit_at_rate(rate, times, series):
     return m0, c0, float(resid @ resid)
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def minimize_bounded(func, lo, hi, xatol, maxiter=500):
+    """Minimizer of a scalar function on [lo, hi] by Brent's bounded method.
+
+    Golden-section steps with parabolic interpolation (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5), written step for step as
+    ``scipy.optimize.minimize_scalar(method="bounded")`` runs it, so both
+    evaluate ``func`` at the same points and return the same minimizer.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf
+
+
 def envelope_fit(series, times):
     """Fit amplitude * exp(rate t) + offset as an upper envelope of the series.
 
@@ -147,15 +223,9 @@ def envelope_fit(series, times):
             best = (rate, m0, c0, sse)
     lo = best[0] / 3.0
     hi = min(best[0] * 3.0, 200.0 / t_span)
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda r: _linear_fit_at_rate(r, times, series)[2],
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-10 / t_span},
+    rate = float(
+        minimize_bounded(lambda r: _linear_fit_at_rate(r, times, series)[2], lo, hi, xatol=1e-10 / t_span)
     )
-    rate = float(res.x)
     m0, c0, sse = _linear_fit_at_rate(rate, times, series)
 
     const_c0 = float(series.max())
@@ -183,7 +253,7 @@ class LipschitzReport:
 def lipschitz_estimates(field, collar=4):
     """Adjacent-node difference quotients: spatial per slice, temporal overall."""
     grid = field.grid
-    box = tuple(slice(collar, n - collar) for n in grid.shape)
+    box = _collar_box(grid.shape, collar)
     for n in grid.shape:
         if n - 2 * collar < 2:
             raise ContractViolationError("collar leaves too few nodes", collar=collar)
@@ -369,7 +439,7 @@ class DeviationReport:
 def initial_deviation_check(field, c0_init, tolerance, horizon_fraction=1.0, collar=4):
     """Verify max_x |u(., t) - u0| <= c0_init t + tolerance slice by slice."""
     grid = field.grid
-    box = tuple(slice(collar, n - collar) for n in grid.shape)
+    box = _collar_box(grid.shape, collar)
     u0 = field.values[0][box]
     t_max = horizon_fraction * grid.horizon
     times = []
@@ -393,38 +463,62 @@ def initial_deviation_check(field, c0_init, tolerance, horizon_fraction=1.0, col
     )
 
 
-def _slice_sups(values, axes, box):
-    """Sups of |u|, |grad u| and |hess u| of one slice over ``box``.
+def _collar_box(shape, collar):
+    """Index box that leaves ``collar`` nodes on each face."""
+    return tuple(slice(collar, n - collar) for n in shape)
+
+
+def _slice_sups(values, axes, boxes):
+    """Sups of |u|, |grad u| and |hess u| of one slice, one triple per box.
 
     Derivatives are second-order ``np.gradient`` differences of the whole
-    slice; only their values inside ``box`` count.
+    slice, taken once; only their values inside each box count.
     """
     comps = np.gradient(values, *axes, edge_order=2)
     if len(axes) == 1:
         comps = [comps]
-    grad_sup = max(float(np.max(np.abs(g[box]))) for g in comps)
-    hess_sup = 0.0
+    sups = [
+        [float(np.max(np.abs(values[box]))), max(float(np.max(np.abs(g[box]))) for g in comps), 0.0]
+        for box in boxes
+    ]
     for g in comps:
         second = np.gradient(g, *axes, edge_order=2)
         if len(axes) == 1:
             second = [second]
-        hess_sup = max(hess_sup, max(float(np.max(np.abs(s[box]))) for s in second))
-    return float(np.max(np.abs(values[box]))), grad_sup, hess_sup
+        for row, box in zip(sups, boxes):
+            row[2] = max(row[2], max(float(np.max(np.abs(s[box]))) for s in second))
+    return [tuple(row) for row in sups]
 
 
-def field_sup_norms(values, axes):
-    """Sup norms (value, gradient, Hessian) of one grid slice."""
-    return _slice_sups(values, axes, ())
+def field_sup_norms(values, axes, collar=None):
+    """Sup norms (value, gradient, Hessian) of one grid slice.
+
+    With ``collar`` set, returns ``(whole, boxed)``: the sups over the whole
+    slice and over its collar box, read from one set of derivatives.
+    """
+    if collar is None:
+        return _slice_sups(values, axes, [()])[0]
+    whole, boxed = _slice_sups(values, axes, [(), _collar_box(values.shape, collar)])
+    return whole, boxed
 
 
-def solution_sobolev_norms(field, collar=4, stride=1):
-    """Measured sups of |u| + |grad u| and + |hess u| over the field."""
+def solution_sobolev_norms(field, collar=4, stride=1, slice_sups=None):
+    """Measured sups of |u| + |grad u| and + |hess u| over the field.
+
+    Every ``stride``-th slice counts, over its collar box. ``slice_sups`` maps
+    a slice index to those boxed sups, as ``field_sup_norms(..., collar)``
+    returns them; the slices it holds are not differentiated again.
+    """
     grid = field.grid
-    box = tuple(slice(collar, n - collar) for n in grid.shape)
+    box = _collar_box(grid.shape, collar)
+    slice_sups = slice_sups or {}
     w1 = 0.0
     w2 = 0.0
     for k in range(0, grid.steps + 1, stride):
-        val, gmax, hmax = _slice_sups(field.values[k], grid.axes, box)
+        if k in slice_sups:
+            val, gmax, hmax = slice_sups[k]
+        else:
+            val, gmax, hmax = _slice_sups(field.values[k], grid.axes, [box])[0]
         w1 = max(w1, val + gmax)
         w2 = max(w2, val + gmax + hmax)
     return w1, w2

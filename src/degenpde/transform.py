@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ContractViolationError, IntegrationError, ParameterError
 from .model import ProblemSpec
-from .ode import integrate_increasing
+from .ode import CubicHermite, integrate_increasing
 
 __all__ = [
     "Primitive",
@@ -39,8 +39,14 @@ __all__ = [
 class Primitive:
     """Antiderivative of a scalar coefficient with a pinned zero at c.
 
-    Evaluations beyond the tabulated range continue linearly with the edge
-    slope so that trial integrator steps stay finite.
+    A coefficient that carries its antiderivative as ``primitive(u)`` (the
+    built-in u-families do) is integrated in closed form. Any other callable
+    is sampled on ``n_knots`` points of [c, u_hi], and its antiderivative is
+    the cubic Hermite interpolant with those samples as slopes. The knot
+    values add up, piece by piece, the trapezoid rule with its end-slope
+    correction h^2/12 (lambda'(a) - lambda'(b)), where lambda' comes from
+    second-order differences. Evaluations beyond [c, u_hi] continue linearly
+    with the edge slope so that trial integrator steps stay finite.
     """
 
     def __init__(self, lambda_fn, c, u_hi, n_knots=8193):
@@ -54,30 +60,32 @@ class Primitive:
         if not np.all(np.isfinite(vals)):
             bad = knots[~np.isfinite(vals)][0]
             raise IntegrationError("non-finite coefficient sample", u=float(bad))
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(knots, vals)
-        anti = spline.antiderivative()
-        base = float(anti(self.c))
-        self._anti = anti
+        closed = getattr(lambda_fn, "primitive", None)
+        if closed is not None:
+            base = float(closed(self.c))
+            self._anti = lambda u: closed(u) - base
+            self._slope = lambda_fn
+        else:
+            h = np.diff(knots)
+            dvals = np.gradient(vals, knots, edge_order=2)
+            pieces = 0.5 * h * (vals[:-1] + vals[1:]) + h * h / 12.0 * (dvals[:-1] - dvals[1:])
+            spline = CubicHermite(knots, np.concatenate([[0.0], np.cumsum(pieces)]), vals)
+            self._anti = spline
+            self._slope = spline.derivative
         self._lo_slope = float(vals[0])
         self._hi_slope = float(vals[-1])
-        self._lo_val = 0.0
-        self._hi_val = float(anti(self.u_hi)) - base
-        self._base = base
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         clipped = np.clip(u, self.c, self.u_hi)
-        out = self._anti(clipped) - self._base
+        out = self._anti(clipped)
         out = out + np.where(u < self.c, (u - self.c) * self._lo_slope, 0.0)
         out = out + np.where(u > self.u_hi, (u - self.u_hi) * self._hi_slope, 0.0)
         return out if out.ndim else float(out)
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
-        clipped = np.clip(u, self.c, self.u_hi)
-        return self._anti.derivative()(clipped)
+        return self._slope(np.clip(u, self.c, self.u_hi))
 
 
 def primitive_lambda(lambda_fn, c, u_hi=None, n_knots=8193):
@@ -124,9 +132,7 @@ class TransformPair:
     def __post_init__(self):
         if np.any(np.diff(self.q_knots) <= 0.0):
             raise ContractViolationError("Q tabulation must be strictly increasing")
-        from scipy.interpolate import CubicHermiteSpline
-
-        self._q_spline = CubicHermiteSpline(self.tau_knots, self.q_knots, self.slope_knots)
+        self._q_spline = CubicHermite(self.tau_knots, self.q_knots, self.slope_knots)
         self._p_spline = None
         self._g, self._gp = _mode_functions(self.mode, self.l_exp)
 
@@ -270,9 +276,7 @@ def invert(pair):
     dq = np.diff(pair.q_knots)
     if np.any(dq <= 0.0):
         raise ContractViolationError("cannot invert a non-monotone tabulation")
-    from scipy.interpolate import CubicHermiteSpline
-
-    p_spline = CubicHermiteSpline(pair.q_knots, pair.tau_knots, 1.0 / pair.slope_knots)
+    p_spline = CubicHermite(pair.q_knots, pair.tau_knots, 1.0 / pair.slope_knots)
     pair._p_spline = p_spline
     return p_spline
 

@@ -9,7 +9,7 @@ import pytest
 import degenpde
 from degenpde import cli, regularity
 from degenpde.cli import main
-from degenpde.config import load_config, parse_family
+from degenpde.config import load_config, mc_settings, parse_family
 from degenpde.errors import ConfigurationError, ContractViolationError, StabilityError
 from degenpde.reporting import (
     CSV_BLOCK_ROWS,
@@ -121,6 +121,15 @@ class TestParsing:
         path.write_text(BENCH_INI.replace("steps = auto", "steps = 10"))
         with pytest.raises(StabilityError):
             load_config(str(path))
+
+    def test_empty_mc_section_takes_the_defaults(self, tmp_path):
+        path = tmp_path / "mc.ini"
+        start, end = BENCH_INI.index("[mc]"), BENCH_INI.index("[diagnostics]")
+        path.write_text(BENCH_INI[:start] + "[mc]\n\n" + BENCH_INI[end:])
+        cfg = load_config(str(path))
+        assert cfg.mc == mc_settings({}, 1)
+        assert cfg.mc["mode"] == "both"
+        assert cfg.mc["x0"] == [0.0]
 
     def test_resolved_benchmark(self, bench_config):
         cfg = load_config(bench_config)
@@ -399,24 +408,49 @@ def test_cli_import_does_not_load_scipy():
     assert not _scipy_loaded_after("import degenpde.cli")
 
 
-def test_counterexample_does_not_load_scipy():
-    code = (
-        "from degenpde.cli import main\n"
-        "assert main(['counterexample', '--paths', '500', '--steps', '20', '--seed', '1']) == 0"
-    )
-    assert not _scipy_loaded_after(code)
-
-
 def test_benchmark_config_load_does_not_load_scipy():
     path = os.path.join(REPO, "configs", "benchmark.ini")
     assert not _scipy_loaded_after(f"from degenpde.config import load_config\nload_config({path!r})")
 
 
-def test_price_does_not_load_scipy(bench_config, tmp_path):
+@pytest.mark.parametrize(
+    "command",
+    [
+        "solve",
+        "price",
+        "verify-duality",
+        "diagnose-regularity",
+        "diagnose-degeneracy",
+        "transform-check",
+        "counterexample",
+    ],
+)
+def test_command_does_not_load_scipy(command, bench_config, tmp_path):
+    out = str(tmp_path / "out")
+    if command == "counterexample":
+        args = [command, "--paths", "500", "--steps", "20", "--seed", "1"]
+    elif command == "price":
+        field_dir = str(tmp_path / "field")
+        assert main(["solve", "--config", bench_config, "--out", field_dir]) == 0
+        args = [command, "--config", bench_config, "--field", field_dir, "--mode", "pw", "--out", out]
+    else:
+        args = [command, "--config", bench_config, "--out", out]
+    assert not _scipy_loaded_after(f"from degenpde.cli import main\nassert main({args!r}) == 0")
+
+
+@pytest.mark.parametrize("mc_section", ["", "[mc]\nseed = 3\n\n"], ids=["no_mc", "mc_without_mode"])
+def test_price_mode_defaults_to_q(mc_section, bench_config, tmp_path, capsys):
+    # the [mc] mode default is "both", which price resolves to q
+    ini = BENCH_INI[: BENCH_INI.index("[mc]")] + mc_section + BENCH_INI[BENCH_INI.index("[diagnostics]") :]
+    config = tmp_path / "price.ini"
+    config.write_text(ini)
     field_dir = str(tmp_path / "field")
     assert main(["solve", "--config", bench_config, "--out", field_dir]) == 0
-    args = ["price", "--config", bench_config, "--field", field_dir, "--mode", "pw", "--out", str(tmp_path)]
-    assert not _scipy_loaded_after(f"from degenpde.cli import main\nassert main({args!r}) == 0")
+    capsys.readouterr()
+    assert main(["price", "--config", str(config), "--field", field_dir, "--paths", "200", "--steps", "10"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mode"] == "q"
+    assert report["n_paths"] == 200
 
 
 @pytest.mark.parametrize("command", ["verify-duality", "diagnose-regularity"])

@@ -3,6 +3,7 @@ import pytest
 
 from degenpde.errors import ConfigurationError, ContractViolationError
 from degenpde.model import CoefficientNorms
+from degenpde import regularity
 from degenpde.regularity import (
     BoundConstants,
     bound_constants,
@@ -11,6 +12,7 @@ from degenpde.regularity import (
     initial_deviation_check,
     initial_slope_bound,
     lipschitz_estimates,
+    minimize_bounded,
     second_difference_constants,
     solution_sobolev_norms,
     time_growth_constants,
@@ -108,6 +110,71 @@ class TestEnvelopeFit:
     def test_needs_four_samples(self):
         with pytest.raises(ContractViolationError):
             envelope_fit(np.ones(3), np.linspace(0, 1, 3))
+
+
+def _recorded(fn, calls):
+    def recorder(x):
+        calls.append(x)
+        return fn(x)
+
+    return recorder
+
+
+def _scipy_bounded(fn, lo, hi, xatol):
+    from scipy.optimize import minimize_scalar
+
+    calls = []
+    res = minimize_scalar(_recorded(fn, calls), bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return float(res.x), calls
+
+
+def _ported_bounded(fn, lo, hi, xatol):
+    calls = []
+    return float(minimize_bounded(_recorded(fn, calls), lo, hi, xatol)), calls
+
+
+class TestBoundedMinimizer:
+    """The Brent port against scipy's minimize_scalar(method="bounded")."""
+
+    def test_envelope_profile_iterates_match_scipy(self, monkeypatch):
+        # capture the profile and bracket envelope_fit minimizes
+        seen = []
+        minimize = regularity.minimize_bounded
+
+        def capture(func, lo, hi, xatol):
+            seen.append((func, lo, hi, xatol))
+            return minimize(func, lo, hi, xatol)
+
+        monkeypatch.setattr(regularity, "minimize_bounded", capture)
+        ts = np.linspace(0.0, 1.0, 40)
+        rng = np.random.default_rng(5)
+        envelope_fit(0.7 * np.exp(2.3 * ts) + 0.4 + 0.01 * rng.standard_normal(40), ts)
+        assert len(seen) == 1
+        func, lo, hi, xatol = seen[0]
+        x_ref, calls_ref = _scipy_bounded(func, lo, hi, xatol)
+        x, calls = _ported_bounded(func, lo, hi, xatol)
+        assert len(calls) > 10
+        assert calls == calls_ref
+        assert x == x_ref
+
+    @pytest.mark.parametrize(
+        "fn,lo,hi",
+        [
+            # a kink and a wiggle: parabolic and golden steps both occur
+            (lambda x: abs(x - 1.0 / 3.0) + 0.1 * np.sin(7.0 * x), 0.0, 3.0),
+            # monotone: the minimizer runs into the upper bound
+            (lambda x: -np.log1p(x), 0.5, 4.0),
+            # a flat floor: equal values take the tie branches
+            (lambda x: max(0.0, abs(x - 1.0) - 0.5), 0.0, 3.0),
+        ],
+        ids=["kink", "bound", "plateau"],
+    )
+    def test_other_functions_iterates_match_scipy(self, fn, lo, hi):
+        for xatol in (1e-5, 1e-10):
+            x_ref, calls_ref = _scipy_bounded(fn, lo, hi, xatol)
+            x, calls = _ported_bounded(fn, lo, hi, xatol)
+            assert calls == calls_ref
+            assert x == x_ref
 
 
 class TestLipschitz:
@@ -239,6 +306,29 @@ class TestSobolevNorms:
         w1, w2 = solution_sobolev_norms(heat_setup["field"], collar=4, stride=50)
         assert w1 == pytest.approx(1.0 + np.exp(-0.5), abs=5e-3)
         assert w2 >= w1
+
+    def test_collar_sups_from_the_whole_slice_derivatives(self):
+        x = np.linspace(-2.0, 2.0, 81)
+        u = np.exp(x)
+        g = np.gradient(u, x, edge_order=2)
+        h = np.gradient(g, x, edge_order=2)
+        whole, boxed = field_sup_norms(u, [x], collar=4)
+        assert whole == (u.max(), np.abs(g).max(), np.abs(h).max())
+        assert boxed == (u[4:-4].max(), np.abs(g[4:-4]).max(), np.abs(h[4:-4]).max())
+        assert boxed[0] < whole[0]
+
+    def test_boxed_sups_reused_exactly(self, heat_setup):
+        # the whole-slice and collar-box sups of one derivative pass equal
+        # the separate passes, and solution norms built from them are the same
+        field = heat_setup["field"]
+        axes = field.grid.axes
+        boxed = {}
+        for k in range(0, field.grid.steps + 1, 50):
+            whole, boxed[k] = field_sup_norms(field.values[k], axes, collar=4)
+            assert whole == field_sup_norms(field.values[k], axes)
+        assert solution_sobolev_norms(field, collar=4, stride=50, slice_sups=boxed) == (
+            solution_sobolev_norms(field, collar=4, stride=50)
+        )
 
 
 class TestCrossInvariants:

@@ -100,7 +100,7 @@ class TestSolveQ:
         ):
             pair = solve_Q(prim, 1.0, mode, tau_max=6.0, q_target=2.05, l_exp=4.0)
             mids = 0.5 * (pair.tau_knots[1:] + pair.tau_knots[:-1])
-            slope = pair._q_spline.derivative()(mids)
+            slope = pair._q_spline.derivative(mids)
             rhs = np.exp(gp(mids) + 2.0 * prim(pair.q(mids)))
             assert np.abs(slope - rhs).max() <= 1e-8
 
