@@ -291,9 +291,9 @@ def constant_ufunc(value):
 
 
 def reciprocal_ufunc(scale):
-    """u -> scale / u, defined on (0, inf)."""
+    """u -> scale / u, defined for u != 0; its primitive is scale * log|u|."""
     s = float(scale)
     fn = lambda u: s / np.asarray(u, dtype=float)
     fn.label = "reciprocal"
-    fn.primitive = lambda u: s * np.log(np.asarray(u, dtype=float))
+    fn.primitive = lambda u: s * np.log(np.abs(np.asarray(u, dtype=float)))
     return fn

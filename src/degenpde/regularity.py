@@ -129,9 +129,10 @@ def _linear_fit_at_rate(rate, times, series):
 
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAXITER = 500  # scipy's default for the bounded method
 
 
-def minimize_bounded(func, lo, hi, xatol, maxiter=500):
+def minimize_bounded(func, lo, hi, xatol):
     """Minimizer of a scalar function on [lo, hi] by Brent's bounded method.
 
     Golden-section steps with parabolic interpolation (Brent, *Algorithms for
@@ -195,7 +196,7 @@ def minimize_bounded(func, lo, hi, xatol, maxiter=500):
         xm = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
-        if num >= maxiter:
+        if num >= _MAXITER:
             break
     return xf
 

@@ -116,8 +116,9 @@ class TestUfuncPrimitives:
             (constant_ufunc(-0.7), -1.0, 2.5),
             (reciprocal_ufunc(0.5), 0.2, 3.0),
             (reciprocal_ufunc(-1.0), 1.0, 2.0),
+            (reciprocal_ufunc(0.5), -3.0, -0.2),
         ],
-        ids=["zero", "constant", "reciprocal", "reciprocal_negative"],
+        ids=["zero", "constant", "reciprocal", "reciprocal_negative", "reciprocal_below_zero"],
     )
     def test_primitive_matches_quadrature(self, fn, a, b):
         from scipy.integrate import quad
@@ -135,6 +136,15 @@ class TestUfuncPrimitives:
         us = np.linspace(0.5, 3.5, 601)
         np.testing.assert_allclose(sampled(us), closed(us), rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(sampled.derivative(us), closed.derivative(us), rtol=0.0, atol=1e-12)
+
+    def test_reciprocal_primitive_on_an_interval_below_zero(self):
+        # scale / u is finite on [-3, -1], so the closed form must be too
+        closed = primitive_lambda(reciprocal_ufunc(0.5), -3.0, u_hi=-1.0)
+        sampled = primitive_lambda(lambda u: 0.5 / np.asarray(u, dtype=float), -3.0, u_hi=-1.0)
+        us = np.linspace(-3.5, -0.5, 601)
+        assert np.all(np.isfinite(closed(us)))
+        np.testing.assert_allclose(closed(-1.0), 0.5 * np.log(1.0 / 3.0), rtol=1e-15)
+        np.testing.assert_allclose(sampled(us), closed(us), rtol=0.0, atol=1e-13)
 
 
 class TestCubicHermite:
