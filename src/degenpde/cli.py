@@ -17,13 +17,14 @@ import numpy as np
 
 from .config import load_config, mc_settings
 from .degeneracy import (
+    check_projection,
     continuity_diagnostic,
     counterexample_run,
     kernel_basis,
     projection_paths,
 )
 from .errors import ConfigurationError, ContractViolationError, DegenPdeError
-from .montecarlo import price_and_compare, simulate
+from .montecarlo import make_rng, path_blocks, price_and_compare, simulate
 from .regularity import (
     bound_constants,
     envelope_fit,
@@ -287,26 +288,35 @@ def cmd_diagnose_degeneracy(args):
         }
     }
     if decomp.m > 0:
-        ens = simulate(
-            cfg.sigma,
-            cfg.mu,
-            np.asarray(mc.get("x0", [0.0] * cfg.dim)),
-            0.0,
-            cfg.horizon,
-            n_steps,
-            max(n_paths, 1000),
-            measure="P",
-            seed=seed,
-        )
-        pp = projection_paths(ens, decomp, cfg.mu, cfg.horizon)
+        n_paths = max(n_paths, 1000)
+        x0 = np.asarray(mc.get("x0", [0.0] * cfg.dim))
+        d_noise = sig0.shape[1]
+        times = np.linspace(0.0, cfg.horizon, n_steps + 1)
+        # simulate(seed=seed)'s draw, taken in blocks that keep only each
+        # path's quadratic variation and terminal projection; the check then
+        # uses the largest drift of all blocks, as one unblocked pass would
+        rng = make_rng(seed)
+        qv_max, drift_max, terminal = [], [], []
+        for lo, hi in path_blocks(n_paths, n_steps, cfg.dim + d_noise):
+            incs = rng.standard_normal((hi - lo, n_steps, d_noise)) * np.sqrt(cfg.horizon / n_steps)
+            ens = simulate(
+                cfg.sigma, cfg.mu, x0, 0.0, cfg.horizon, n_steps, hi - lo, measure="P", increments=incs
+            )
+            pp = projection_paths(ens, decomp, cfg.mu, cfg.horizon, check=False)
+            qv_max.append(pp.quadratic_variation.max())
+            drift_max.append(np.abs(pp.drift).max())
+            terminal.append(pp.pi[:, -1, :].copy())
+            del incs, ens, pp
+        worst_qv = float(np.max(qv_max))
+        check_projection(worst_qv, float(np.max(drift_max)), cfg.horizon, times[1] - times[0])
         report["projection"] = {
-            "max_quadratic_variation": float(pp.quadratic_variation.max()),
-            "n_paths": int(ens.n_paths),
+            "max_quadratic_variation": worst_qv,
+            "n_paths": n_paths,
             "n_steps": n_steps,
             "seed": seed,
         }
         report["atom"] = continuity_diagnostic(
-            pp.pi[:, -1, :],
+            np.concatenate(terminal),
             seed=seed,
             conditioning=f"deterministic start x0={mc.get('x0', [0.0] * cfg.dim)}, terminal time",
         )

@@ -21,6 +21,7 @@ __all__ = [
     "kernel_basis",
     "ProjectionPaths",
     "projection_paths",
+    "check_projection",
     "continuity_diagnostic",
     "CounterexampleReport",
     "counterexample_run",
@@ -100,12 +101,29 @@ class ProjectionPaths:
         return self.pi.shape[-1]
 
 
-def projection_paths(ensemble, decomp, mu, horizon):
+def check_projection(worst_qv, drift_scale, horizon, ds):
+    """Raise unless the largest projected quadratic variation is rounding-sized.
+
+    The tolerance grows with ``drift_scale``, the largest |<mu, b_i>| over
+    the paths, so paths projected in blocks are checked once, with the
+    largest drift of all blocks.
+    """
+    tol = (horizon * ds**2) * (1.0 + drift_scale) ** 2 + 1e-20
+    if worst_qv > tol:
+        raise DecompositionError(
+            "projected paths carry a stochastic component",
+            quadratic_variation=worst_qv,
+            tolerance=tol,
+        )
+
+
+def projection_paths(ensemble, decomp, mu, horizon, check=True):
     """Project an ensemble onto the kernel basis and verify the ODE structure.
 
     The projected increments must match ds * <mu, b_i> with no stochastic
     component; a nonzero quadratic variation flags an inconsistent
-    decomposition.
+    decomposition. ``check=False`` leaves that test to the caller
+    (``check_projection``).
     """
     if ensemble.measure != "P":
         raise ContractViolationError("projection diagnostics run on physical paths")
@@ -128,15 +146,9 @@ def projection_paths(ensemble, decomp, mu, horizon):
         drift[:, k, :] = mu_val @ decomp.basis.T
     resid = np.diff(pi, axis=1) - ds * drift
     qv = np.sum(resid**2, axis=(1, 2))
-    drift_scale = float(np.max(np.abs(drift))) if drift.size else 0.0
-    tol = (horizon * ds**2) * (1.0 + drift_scale) ** 2 + 1e-20
-    worst = float(qv.max()) if qv.size else 0.0
-    if worst > tol:
-        raise DecompositionError(
-            "projected paths carry a stochastic component",
-            quadratic_variation=worst,
-            tolerance=tol,
-        )
+    if check:
+        drift_scale = float(np.max(np.abs(drift))) if drift.size else 0.0
+        check_projection(float(qv.max()) if qv.size else 0.0, drift_scale, horizon, ds)
     return ProjectionPaths(pi=pi, drift=drift, times=times, quadratic_variation=qv)
 
 

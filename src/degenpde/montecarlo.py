@@ -18,6 +18,7 @@ and accumulates the payoff and the log-weight as it goes.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -43,6 +44,24 @@ __all__ = [
 ]
 
 POSITIVITY_FLOOR_REL = 1e-8
+# Bytes of per-path-and-step arrays held at once when paths are simulated in
+# blocks; the results do not depend on it.
+NOISE_BLOCK_BYTES = 16 * 2**20
+
+
+def path_blocks(n_paths, n_steps, width):
+    """(lo, hi) bounds of consecutive path blocks within NOISE_BLOCK_BYTES.
+
+    A block holds ``width`` doubles per path and step. No block is a lone
+    path unless ``n_paths`` is 1: numpy multiplies a one-row matrix by
+    another route than a taller one, and the last bits can differ.
+    """
+    rows = max(2, NOISE_BLOCK_BYTES // (n_steps * width * 8))
+    lo = 0
+    while lo < n_paths:
+        hi = n_paths if n_paths - lo <= rows + 1 else lo + rows
+        yield lo, hi
+        lo = hi
 
 
 def make_rng(seed, stream=None):
@@ -84,59 +103,95 @@ class GradientInterpolant:
         self.times = field.times
         self.dim = grid.dim
         values = field.values
-        grads = [
-            np.gradient(values, grid.axes[i], axis=1 + i, edge_order=2)
-            for i in range(grid.dim)
-        ]
-        self.grad_values = np.stack(grads, axis=-1)  # (M+1, *shape, N)
+        # value then gradient components per time slice, so that one gather
+        # reads all of them
+        table = np.empty((values.shape[0], 1 + grid.dim) + values.shape[1:])
+        table[:, 0] = values
+        for i in range(grid.dim):
+            table[:, 1 + i] = np.gradient(values, grid.axes[i], axis=1 + i, edge_order=2)
+        self._table = table  # (M+1, 1 + N, *shape)
+        self._cells = tuple(len(a) - 1 for a in grid.axes)
+        self._corners = list(product((0, 1), repeat=grid.dim))
+        self._spacings = [np.diff(a) for a in grid.axes]
+        self._time_list = [float(t) for t in field.times]
+        self._rows = self._term = None
         self.clamped_evaluations = 0
         self.total_evaluations = 0
 
-    def _locate(self, coords, axis_vals):
+    def _locate(self, coords, i):
         # fractions come from the stored axis entries so that querying a grid
         # node bitwise reproduces the stored value exactly
-        n = len(axis_vals)
-        dx = axis_vals[1] - axis_vals[0]
-        pos = (coords - axis_vals[0]) / dx
-        idx = np.clip(np.floor(pos).astype(np.int64), 0, n - 2)
-        frac = (coords - axis_vals[idx]) / (axis_vals[idx + 1] - axis_vals[idx])
+        axis_vals = self.axes[i]
+        pos = (coords - axis_vals[0]) / (axis_vals[1] - axis_vals[0])
+        # np.minimum/np.maximum in place of np.clip, whose wrapper costs more
+        # than the arithmetic at these sizes. They may keep a -0.0 fraction
+        # that np.clip makes +0.0; a zero weight adds nothing to sums that
+        # start at +0.0, so the results are the same
+        idx = np.minimum(np.maximum(np.floor(pos).astype(np.int64), 0), self._cells[i] - 1)
+        frac = (coords - axis_vals[idx]) / self._spacings[i][idx]
         clamped = (coords < axis_vals[0]) | (coords > axis_vals[-1])
-        return idx, np.clip(frac, 0.0, 1.0), clamped
+        return idx, np.minimum(np.maximum(frac, 0.0), 1.0), clamped
+
+    def _locate_time(self, theta):
+        # _locate for one time, in Python floats
+        times = self._time_list
+        pos = (theta - times[0]) / (times[1] - times[0])
+        k = min(max(math.floor(pos), 0), len(times) - 2)
+        frac = (theta - times[k]) / (times[k + 1] - times[k])
+        return k, min(max(frac, 0.0), 1.0), theta < times[0] or theta > times[-1]
 
     def evaluate(self, x, theta):
-        """Interpolated (value, gradient) arrays at points x and time theta."""
+        """Interpolated (value, gradient) arrays at points x and time theta.
+
+        The two time slices around theta are laid out per grid cell (corner,
+        slice, value and gradient), and one gather reads every point's cell.
+        The terms are summed in corner-then-slice order from +0.0, skipping
+        zero time weights.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n_pts = x.shape[0]
         self.total_evaluations += n_pts
+        kt, wt, t_clamped = self._locate_time(float(theta))
 
-        t_arr = np.asarray([theta], dtype=float)
-        kt, wt, t_clamped = self._locate(t_arr, self.times)
-        kt, wt = int(kt[0]), float(wt[0])
-
-        idxs, fracs, clamped_any = [], [], np.zeros(n_pts, dtype=bool)
+        cell, fracs, clamped_any = 0, [], False
         for i in range(self.dim):
-            idx, frac, cl = self._locate(x[:, i], self.axes[i])
-            idxs.append(idx)
+            idx, frac, cl = self._locate(x[:, i], i)
+            cell = cell * self._cells[i] + idx
             fracs.append(frac)
-            clamped_any |= cl
-        if t_clamped[0]:
-            clamped_any |= True
-        self.clamped_evaluations += int(np.count_nonzero(clamped_any))
+            clamped_any = clamped_any | cl
+        self.clamped_evaluations += n_pts if t_clamped else int(np.count_nonzero(clamped_any))
 
-        u_out = np.zeros(n_pts)
-        g_out = np.zeros((n_pts, self.dim))
-        for bits in product((0, 1), repeat=self.dim):
-            weight = np.ones(n_pts)
-            for i, b in enumerate(bits):
-                weight = weight * (fracs[i] if b else 1.0 - fracs[i])
-            corner = tuple(idxs[i] + bits[i] for i in range(self.dim))
+        slab = self._table[kt : kt + 2]
+        n_corners, n_comp = len(self._corners), 1 + self.dim
+        cells = np.empty((n_corners, 2, n_comp) + self._cells)
+        for c, bits in enumerate(self._corners):
+            corner = tuple(slice(b, b + m) for b, m in zip(bits, self._cells))
+            cells[c] = slab[(slice(None), slice(None)) + corner]
+        rows, term = self._buffers((n_corners, 2, n_comp, n_pts))
+        # the cell indices are in range by construction; mode "clip" lets
+        # take write into ``rows`` without an intermediate copy
+        cells.reshape(n_corners, 2, n_comp, -1).take(cell, axis=-1, out=rows, mode="clip")
+
+        lows = [1.0 - f for f in fracs]
+        out = np.zeros((n_comp, n_pts))
+        for c, bits in enumerate(self._corners):
+            weight = fracs[0] if bits[0] else lows[0]
+            for i in range(1, self.dim):
+                weight = weight * (fracs[i] if bits[i] else lows[i])
             for k_off, t_weight in ((0, 1.0 - wt), (1, wt)):
                 if t_weight == 0.0:
                     continue
-                sl = (kt + k_off,) + corner
-                u_out += t_weight * weight * self.field.values[sl]
-                g_out += (t_weight * weight)[:, None] * self.grad_values[sl]
-        return u_out, g_out
+                np.multiply(t_weight * weight, rows[c, k_off], out=term)
+                out += term
+        return out[0], np.ascontiguousarray(out[1:].T)
+
+    def _buffers(self, shape):
+        # the gathered rows and one term, kept between calls: allocated
+        # afresh, arrays of this size go back to the system and fault in
+        # again on every call, which doubled the time at 10 000 points
+        if self._rows is None or self._rows.shape != shape:
+            self._rows, self._term = np.empty(shape), np.empty(shape[2:])
+        return self._rows, self._term
 
     def value(self, x, theta):
         return self.evaluate(x, theta)[0]
@@ -372,6 +427,8 @@ class PricingReport:
     clamp_flag: bool = False
     weight_mean: Optional[float] = None
     weight_se: Optional[float] = None
+    weight_ess: Optional[float] = None  # (sum w)^2 / sum w^2
+    max_weight: Optional[float] = None
     x0: tuple = ()
     price_time: float = 0.0
 
@@ -398,6 +455,8 @@ class PricingReport:
         if self.weight_mean is not None:
             out["weight_mean"] = self.weight_mean
             out["weight_se"] = self.weight_se
+            out["weight_ess"] = self.weight_ess
+            out["max_weight"] = self.max_weight
         return out
 
 
@@ -457,7 +516,15 @@ def price_and_compare(
     the two on the same noise in one pass and returns a DualityReport.
     Paths are processed in fixed-size chunks; chunk c draws its increments
     from stream c of the master seed, so a rerun with the same seed is
-    bit-identical.
+    bit-identical. Each chunk's noise is drawn and streamed in consecutive
+    blocks of at most NOISE_BLOCK_BYTES. Consecutive draws concatenate to
+    the chunk's single draw and every per-path quantity is elementwise, so
+    the results do not depend on the block size, and peak memory is
+    O(block + paths), not O(chunk x steps). A DegeneracyError names the path
+    (by its index within the chunk) and the step of an unblocked pass; to
+    find them, a chunk with a failing block is replayed in one block. The pw
+    report adds the Girsanov weights' effective sample size
+    (sum w)^2 / sum w^2 and their largest weight.
     """
     if mode not in ("q", "pw", "both"):
         raise ContractViolationError("mode must be q, pw or both", mode=mode)
@@ -484,25 +551,41 @@ def price_and_compare(
 
     d_noise = np.asarray(sigma(0.0)).shape[1]
     ds = (model.horizon - price_time) / n_steps
-    chunks = []
+    blocks = []
     for stream, start in enumerate(range(0, n_paths, chunk_size)):
         batch = min(chunk_size, n_paths - start)
-        incs = make_rng(seed, stream).standard_normal((batch, n_steps, d_noise))
-        incs *= np.sqrt(ds)
-        chunks.append(stream_paths(kernels, mu, x0, price_time, incs))
-        del incs  # free this chunk's noise before the next one is drawn
+        rng = make_rng(seed, stream)
+        for lo, hi in path_blocks(batch, n_steps, d_noise):
+            incs = rng.standard_normal((hi - lo, n_steps, d_noise))
+            incs *= np.sqrt(ds)
+            try:
+                blocks.append(stream_paths(kernels, mu, x0, price_time, incs))
+            except DegeneracyError:
+                if hi - lo == batch:
+                    raise
+                # a later block may fail at an earlier step: replay the chunk
+                # in one block so that the error names the path and step of
+                # the whole chunk
+                incs = make_rng(seed, stream).standard_normal((batch, n_steps, d_noise))
+                incs *= np.sqrt(ds)
+                stream_paths(kernels, mu, x0, price_time, incs)
+                raise
+            del incs  # free this block's noise before the next one is drawn
 
     reports = {}
     for m in modes:
         meas = measures[m]
-        pay = np.concatenate([c[meas].payoff for c in chunks])
+        pay = np.concatenate([b[meas].payoff for b in blocks])
+        w_mean = w_se = w_ess = w_max = None
         if m == "pw":
-            log_w = np.concatenate([c[meas].log_weight for c in chunks])
-            sample = pay * np.exp(log_w)
+            log_w = np.concatenate([b[meas].log_weight for b in blocks])
+            w = np.exp(log_w)
+            sample = pay * w
             w_mean, w_se = weight_statistics(log_w)
+            w_ess = float(w.sum() ** 2 / np.dot(w, w))
+            w_max = float(w.max())
         else:
             sample = pay
-            w_mean = w_se = None
         mc_mean = float(np.mean(sample))
         mc_se = float(np.std(sample, ddof=1) / np.sqrt(len(sample)))
         diff = abs(mc_mean - pde_value)
@@ -521,6 +604,8 @@ def price_and_compare(
             clamp_flag=clamp_fraction > 0.01,
             weight_mean=w_mean,
             weight_se=w_se,
+            weight_ess=w_ess,
+            max_weight=w_max,
             x0=tuple(float(v) for v in x0),
             price_time=float(price_time),
         )

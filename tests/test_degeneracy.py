@@ -9,7 +9,7 @@ from degenpde.degeneracy import (
 )
 from degenpde.errors import ContractViolationError, DecompositionError
 from degenpde.families import constant_drift, constant_sigma, swirl_drift, zero_drift
-from degenpde.montecarlo import simulate
+from degenpde.montecarlo import make_rng, simulate
 
 
 class TestKernelBasis:
@@ -125,3 +125,103 @@ class TestCounterexample:
         r1 = counterexample_run(horizon=1.0, n_paths=3_000, n_steps=100, seed=3)
         r2 = counterexample_run(horizon=1.0, n_paths=3_000, n_steps=100, seed=3)
         assert r1.estimate == r2.estimate and r1.se == r2.se
+
+
+class TestBlockedDiagnosis:
+    """diagnose-degeneracy in path blocks against one unblocked pass."""
+
+    INI = """
+[model]
+kind = general
+dim = 2
+horizon = 1.0
+sigma = constant:0;1
+mu = swirl:1
+lambda = zero
+eta = zero
+value_interval = -0.5,1.5
+initial = constant:0
+
+[grid]
+half_width = 6.0
+nodes = 41
+steps = auto
+
+[mc]
+paths = 2000
+steps = 100
+seed = 3
+x0 = 0.0
+"""
+    N_PATHS, N_STEPS, SEED, ROWS = 2000, 100, 3, 500
+
+    @pytest.fixture()
+    def config(self, tmp_path):
+        path = tmp_path / "deg.ini"
+        path.write_text(self.INI)
+        return str(path)
+
+    def run(self, config, rows, monkeypatch, capsys, tilt=0.0):
+        """(exit code, printed JSON) with ``rows`` paths per block and a basis
+        tilted by ``tilt`` radians into the noisy direction."""
+        import json
+
+        from degenpde import cli, montecarlo
+
+        # each block holds states (2) and noise (1) per path and step
+        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", rows * self.N_STEPS * 3 * 8)
+
+        def tilted(sig):
+            decomp = kernel_basis(sig)
+            decomp.basis[0] = [np.cos(tilt), np.sin(tilt)]
+            return decomp
+
+        monkeypatch.setattr(cli, "kernel_basis", tilted)
+        code = cli.main(["diagnose-degeneracy", "--config", config])
+        captured = capsys.readouterr()
+        return code, json.loads(captured.out if code == 0 else captured.err)
+
+    def test_blocks_give_the_unblocked_report(self, config, monkeypatch, capsys):
+        blocked = self.run(config, self.ROWS, monkeypatch, capsys)
+        assert blocked == self.run(config, self.N_PATHS, monkeypatch, capsys)
+        assert blocked[0] == 0 and blocked[1]["projection"]["n_paths"] == self.N_PATHS
+
+    def test_check_uses_the_drift_of_all_blocks(self, config, monkeypatch, capsys):
+        # With the basis tilted by e, the projected residual is sin(e) dW, so a
+        # path's quadratic variation is sin(e)^2 S with S = sum dW^2, against
+        # the tolerance ds^2 (1 + D)^2 for the largest drift D (T = 1).
+        ds = 1.0 / self.N_STEPS
+        dw = make_rng(self.SEED).standard_normal((self.N_PATHS, self.N_STEPS)) * np.sqrt(ds)
+        s = np.sum(dw**2, axis=1)
+        # mu = (x2, 0) and x2 is the Brownian path, read before each step
+        drift = np.abs(np.cumsum(dw, axis=1)[:, :-1]).max(axis=1)
+        ratio = lambda sl: s[sl].max() / (1.0 + drift[sl].max()) ** 2
+        whole = ratio(slice(None))
+        per_block = max(ratio(slice(lo, lo + self.ROWS)) for lo in range(0, self.N_PATHS, self.ROWS))
+        assert per_block > 1.05 * whole  # a block's own tolerance is stricter
+        between = np.arcsin(ds * (per_block * whole) ** -0.25)
+        above = np.arcsin(ds * (0.5 * whole) ** -0.5)
+
+        # between the two thresholds: a check per block would raise ...
+        decomp = kernel_basis(np.array([[0.0], [1.0]]))
+        decomp.basis[0] = [np.cos(between), np.sin(between)]
+        sigma, mu = constant_sigma([[0.0], [1.0]]), swirl_drift(2, 1.0)
+        raised = 0
+        for lo in range(0, self.N_PATHS, self.ROWS):
+            ens = simulate(
+                sigma, mu, [0.0, 0.0], 0.0, 1.0, self.N_STEPS, self.ROWS,
+                increments=(dw[lo : lo + self.ROWS, :, None]),
+            )
+            try:
+                projection_paths(ens, decomp, mu, horizon=1.0)
+            except DecompositionError:
+                raised += 1
+        assert raised
+        # ... but the blocked run passes, as the unblocked one does
+        blocked = self.run(config, self.ROWS, monkeypatch, capsys, tilt=between)
+        assert blocked[0] == 0
+        assert blocked == self.run(config, self.N_PATHS, monkeypatch, capsys, tilt=between)
+        # above both thresholds the two raise the same error
+        blocked = self.run(config, self.ROWS, monkeypatch, capsys, tilt=above)
+        assert blocked[0] == 1 and blocked[1]["error"] == "decomposition_inconsistency"
+        assert blocked == self.run(config, self.N_PATHS, monkeypatch, capsys, tilt=above)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from degenpde import montecarlo
 from degenpde.errors import ContractViolationError, DegeneracyError, ExtrapolationError
 from degenpde.families import constant_sigma, linear_drift, zero_drift
 from degenpde.montecarlo import (
@@ -347,11 +348,14 @@ class TestStreamedPass:
         assert agree["combined_se"] == np.hypot(payload["q"]["mc_se"], payload["pw"]["mc_se"])
         assert agree["difference"] == abs(payload["q"]["mc_mean"] - payload["pw"]["mc_mean"])
 
-    def test_peak_memory_is_one_noise_block_plus_o_paths(self):
+    def test_peak_memory_is_one_noise_block_plus_o_paths(self, monkeypatch):
         model = make_benchmark_model()
         sigma = constant_sigma([[1.0]])
         field = flat_price_field(GridSpec(1, 8.0, 101, 20, 1.0))
         n_paths, n_steps, chunk = 20_000, 200, 10_000
+        # a budget of one eighth of a chunk's noise: the bound below is the
+        # block's, far under the chunk's 16 MB
+        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", chunk * n_steps * 8 // 8)
 
         def run():
             return price_and_compare(
@@ -366,8 +370,139 @@ class TestStreamedPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        noise_block = chunk * n_steps * 8
+        noise_block = montecarlo.NOISE_BLOCK_BYTES + n_steps * 8  # a lone last path joins a block
         assert peak < 1.5 * noise_block + 32 * n_paths * 8
+
+
+def _coupled_2d_setup():
+    """A 2-D model with coupled sigma, so each noise step is a 2 x 2 matmul."""
+    from degenpde.families import constant_rate, gaussian_bump_field
+    from degenpde.model import MbsModel
+
+    model = MbsModel(
+        rho=0.5,
+        coupon_tau=0.06,
+        rate_r=constant_rate(0.03),
+        principal_h=gaussian_bump_field(2, amplitude=1.0, center=0.0, width=1.0, ramp=3.0),
+        horizon=1.0,
+        dim=2,
+    )
+    grid = GridSpec(2, 4.0, 21, 10, 1.0)
+    values = 0.2 + 0.1 * np.random.default_rng(1).random((11, 21, 21))
+    field = SolutionField(values, grid, variable="U")
+    sigma = constant_sigma([[0.7, 0.3], [-0.2, 0.9]])
+    return dict(model=model, field=field, sigma=sigma, mu=linear_drift(2, -0.4), x0=[0.1, -0.2])
+
+
+class TestNoiseBlocks:
+    """Blocked noise draws against one stream_paths call per chunk."""
+
+    N_STEPS = 40
+
+    @pytest.fixture(params=["1d", "2d"])
+    def setup(self, request, bench_setup):
+        if request.param == "2d":
+            return _coupled_2d_setup()
+        return dict(
+            model=bench_setup["model"], field=bench_setup["field"], sigma=bench_setup["sigma"],
+            mu=bench_setup["mu"], x0=[0.2],
+        )
+
+    def price(self, setup, n_paths, chunk, rows, monkeypatch, seed=5):
+        d = np.asarray(setup["sigma"](0.0)).shape[1]
+        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", rows * self.N_STEPS * d * 8)
+        blocks = []
+        real = montecarlo.stream_paths
+
+        def recording(kernels, mu, x0, t0, increments):
+            blocks.append(real(kernels, mu, x0, t0, increments))
+            return blocks[-1]
+
+        monkeypatch.setattr(montecarlo, "stream_paths", recording)
+        rep = price_and_compare(
+            setup["model"], setup["field"], setup["sigma"], setup["mu"], x0=setup["x0"],
+            price_time=0.1, n_paths=n_paths, n_steps=self.N_STEPS, seed=seed, mode="both",
+            chunk_size=chunk,
+        )
+        monkeypatch.setattr(montecarlo, "stream_paths", real)
+        return rep, blocks
+
+    def whole_chunks(self, setup, n_paths, chunk, seed=5):
+        """One stream_paths call on each chunk's whole noise, as before blocking."""
+        kernel = PricingKernel(setup["model"], setup["field"], setup["sigma"])
+        d = np.asarray(setup["sigma"](0.0)).shape[1]
+        out = []
+        for stream, start in enumerate(range(0, n_paths, chunk)):
+            batch = min(chunk, n_paths - start)
+            incs = make_rng(seed, stream).standard_normal((batch, self.N_STEPS, d))
+            incs *= np.sqrt((1.0 - 0.1) / self.N_STEPS)
+            kernels = {m: kernel.counting_copy() for m in ("Q", "P")}
+            out.append(stream_paths(kernels, setup["mu"], setup["x0"], 0.1, incs))
+        return out
+
+    @pytest.mark.parametrize(
+        "n_paths, chunk, rows",
+        [
+            (500, 150, 200),  # every chunk smaller than a block
+            (1001, 700, 128),  # chunks of 5 + 2 blocks, paths not a multiple of either
+            (257, 1000, 64),  # a lone last path joins the block before it
+        ],
+    )
+    def test_blocked_sums_equal_one_block_per_chunk(self, setup, monkeypatch, n_paths, chunk, rows):
+        rep, blocks = self.price(setup, n_paths, chunk, rows, monkeypatch)
+        sizes = [len(b["Q"].payoff) for b in blocks]
+        assert sum(sizes) == n_paths and max(sizes) <= rows + 1 and min(sizes) > 1
+        if chunk > rows:
+            assert len(blocks) > -(-n_paths // chunk)
+        whole = self.whole_chunks(setup, n_paths, chunk)
+        for m in ("Q", "P"):
+            for name in ("state", "payoff"):
+                got = np.concatenate([getattr(b[m], name) for b in blocks])
+                want = np.concatenate([getattr(w[m], name) for w in whole])
+                assert got.tobytes() == want.tobytes()
+        got = np.concatenate([b["P"].log_weight for b in blocks])
+        assert got.tobytes() == np.concatenate([w["P"].log_weight for w in whole]).tobytes()
+        one_block, _ = self.price(setup, n_paths, chunk, n_paths + 1, monkeypatch)
+        assert rep.as_dict() == one_block.as_dict()
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 14])
+    def test_degeneracy_error_names_the_unblocked_path_and_step(self, monkeypatch, seed):
+        # U is -10 beyond |x| = 2.5, so some paths fail; with seeds 1, 4 and 14
+        # the first block fails at a later step than a path of the second
+        model = make_benchmark_model()
+        grid = GridSpec(1, 8.0, 101, 20, 1.0)
+        values = np.where(np.abs(grid.axes[0]) > 2.5, -10.0, 0.0)
+        field = SolutionField(np.broadcast_to(values, (21, 101)).copy(), grid, variable="U")
+        sigma, n_steps = constant_sigma([[1.0]]), 50
+        errors = []
+        for rows in (10**6, 64):
+            monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", rows * n_steps * 8)
+            with pytest.raises(DegeneracyError) as err:
+                price_and_compare(
+                    model, field, sigma, zero_drift(1), x0=[0.0], n_paths=256, n_steps=n_steps,
+                    seed=seed, mode="both", chunk_size=200,
+                )
+            errors.append(err.value.payload())
+        assert errors[0] == errors[1]
+        assert errors[0]["details"]["path"] >= 64  # in a later block
+
+    def test_pw_weight_counters(self, bench_setup):
+        rep = price_and_compare(
+            bench_setup["model"], bench_setup["field"], bench_setup["sigma"], bench_setup["mu"],
+            x0=[0.0], n_paths=3000, n_steps=50, seed=8, mode="pw",
+        )
+        payload = rep.as_dict()
+        # (sum w)^2 / sum w^2 = n m^2 / ((n - 1) se^2 + m^2), from the mean m
+        # and standard error se of the same weights
+        n, m, se = 3000, payload["weight_mean"], payload["weight_se"]
+        assert payload["weight_ess"] == pytest.approx(n * m**2 / ((n - 1) * se**2 + m**2), rel=1e-9)
+        assert payload["weight_ess"] < n
+        assert payload["max_weight"] > m
+        q = price_and_compare(
+            bench_setup["model"], bench_setup["field"], bench_setup["sigma"], bench_setup["mu"],
+            x0=[0.0], n_paths=300, n_steps=20, seed=8, mode="q",
+        ).as_dict()
+        assert "weight_ess" not in q and "max_weight" not in q
 
 
 def test_clamp_flag_raised_when_paths_leave_small_box(bench_setup):
