@@ -20,7 +20,6 @@ from .model import (
     MbsModel,
     ProblemSpec,
     discount_and_xi,
-    hamiltonian_eval,
     mbs_price_problem,
     mbs_to_general,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "discretize_hamiltonian",
     "envelope_fit",
     "girsanov_log_weight",
-    "hamiltonian_eval",
     "initial_deviation_check",
     "invert",
     "kernel_basis",

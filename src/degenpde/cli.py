@@ -46,6 +46,10 @@ from .transform import invert, primitive_lambda, solve_Q, structural_check
 
 __all__ = ["main", "run_experiment"]
 
+# Most time slices the regularity report differentiates; longer fields are
+# strided, and the last slice always counts.
+MAX_REGULARITY_SLICES = 160
+
 
 def _solve_with_summary(cfg):
     field = solve(cfg.problem, cfg.u0, cfg.grid, theta=cfg.theta)
@@ -60,12 +64,12 @@ def _solve_with_summary(cfg):
     return field, res, summary
 
 
-def _regularity_report(cfg, field, res=None, max_slices=160):
+def _regularity_report(cfg, field, res=None):
     """Regularity diagnostics of a field; ``res`` reuses its residual report."""
     grid = field.grid
     collar = cfg.collar
     cap = cfg.diagnostics.get("offset_cap")
-    stride = max(1, (grid.steps + 1) // max_slices)
+    stride = max(1, (grid.steps + 1) // MAX_REGULARITY_SLICES)
     idx = list(range(0, grid.steps + 1, stride))
     if idx[-1] != grid.steps:
         idx.append(grid.steps)

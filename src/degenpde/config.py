@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import families as fam
+from . import montecarlo, solver, transform
 from .errors import ConfigurationError
 from .model import (
     CoefficientNorms,
@@ -207,7 +208,6 @@ class ExperimentConfig:
     diagnostics: dict = dataclass_field(default_factory=dict)
     transform: dict = dataclass_field(default_factory=dict)
     manifest: dict = dataclass_field(default_factory=dict)
-    path: str = ""
 
 
 def _require(parser, section, key, default=None):
@@ -320,15 +320,15 @@ def load_config(path):
     else:
         raise ConfigurationError("unknown model kind", kind=kind)
 
-    half_width = float(_require(parser, "grid", "half_width", "8.0")) if parser.has_section("grid") else 8.0
-    nodes = int(_require(parser, "grid", "nodes", "401")) if parser.has_section("grid") else 401
-    theta = float(_require(parser, "grid", "theta", str(DEFAULT_THETA))) if parser.has_section("grid") else DEFAULT_THETA
+    half_width = float(_require(parser, "grid", "half_width", "8.0"))
+    nodes = int(_require(parser, "grid", "nodes", "401"))
+    theta = float(_require(parser, "grid", "theta", str(DEFAULT_THETA)))
     if not 0.0 < theta <= DEFAULT_THETA:
         raise ConfigurationError(
             "stability safety factor must lie in (0, 0.45]", theta=theta
         )
-    collar = int(_require(parser, "grid", "collar", "4")) if parser.has_section("grid") else 4
-    steps_raw = _require(parser, "grid", "steps", "auto") if parser.has_section("grid") else "auto"
+    collar = int(_require(parser, "grid", "collar", "4"))
+    steps_raw = _require(parser, "grid", "steps", "auto")
     if steps_raw.strip() == "auto":
         speed = GridSpec(dim, half_width, nodes, 1, horizon).drift_speed(problem)
         steps = stable_step_count(
@@ -350,20 +350,19 @@ def load_config(path):
 
     mc = mc_settings(parser["mc"], dim) if parser.has_section("mc") else {}
 
-    diagnostics = {"regularity": False, "degeneracy": False, "offset_cap": None}
-    if parser.has_section("diagnostics"):
-        diagnostics["regularity"] = parser.getboolean("diagnostics", "regularity", fallback=False)
-        diagnostics["degeneracy"] = parser.getboolean("diagnostics", "degeneracy", fallback=False)
-        cap_raw = _require(parser, "diagnostics", "offset_cap", "auto")
-        diagnostics["offset_cap"] = None if cap_raw.strip() == "auto" else float(cap_raw)
+    cap_raw = _require(parser, "diagnostics", "offset_cap", "auto")
+    diagnostics = {
+        "regularity": parser.getboolean("diagnostics", "regularity", fallback=False),
+        "offset_cap": None if cap_raw.strip() == "auto" else float(cap_raw),
+    }
 
-    transform = {}
+    tr = {}
     if parser.has_section("transform"):
         lam_spec = _require(parser, "transform", "lambda", "reciprocal:0.5")
         eta_spec = _require(parser, "transform", "eta", "reciprocal:-1.0")
         lam_fn, lam_meta = build_ufunc(lam_spec)
         eta_fn, eta_meta = build_ufunc(eta_spec)
-        transform = {
+        tr = {
             "mode": _require(parser, "transform", "mode", "semiconvex").strip(),
             "l": float(_require(parser, "transform", "l", "4")),
             "tau_max": float(_require(parser, "transform", "tau_max", "5.0")),
@@ -385,23 +384,22 @@ def load_config(path):
         "theta": theta,
         "stability_ratio": stability_ratio,
         "collar": collar,
-        "clamp_rel_tolerance": 1e-9,
+        "clamp_rel_tolerance": solver.CLAMP_REL_TOL,
     }
     if mc:
-        manifest["mc"] = dict(mc, positivity_floor_rel=1e-8)
-    if transform:
+        manifest["mc"] = dict(mc, positivity_floor_rel=montecarlo.POSITIVITY_FLOOR_REL)
+    if tr:
         manifest["transform"] = {
-            "mode": transform["mode"],
-            "l": transform["l"],
-            "tau_max": transform["tau_max"],
-            "interval": list(transform["interval"]),
-            "lambda": transform["lambda_meta"],
-            "eta": transform["eta_meta"],
-            "rtol": 1e-10,
+            "mode": tr["mode"],
+            "l": tr["l"],
+            "tau_max": tr["tau_max"],
+            "interval": list(tr["interval"]),
+            "lambda": tr["lambda_meta"],
+            "eta": tr["eta_meta"],
+            "rtol": transform.Q_RTOL,
         }
     manifest["diagnostics"] = {
         "regularity": diagnostics["regularity"],
-        "degeneracy": diagnostics["degeneracy"],
         "offset_cap": diagnostics["offset_cap"] if diagnostics["offset_cap"] is not None else "auto",
         "collar": collar,
     }
@@ -420,7 +418,6 @@ def load_config(path):
         model=model,
         mc=mc,
         diagnostics=diagnostics,
-        transform=transform,
+        transform=tr,
         manifest=manifest,
-        path=os.path.abspath(path),
     )

@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 RANK_THRESHOLD_REL = 1e-10
+# Atom radius of ``continuity_diagnostic`` relative to the sample span, and
+# the histogram bins of its smoothed density.
+_ATOM_RADIUS_REL = 1e-6
+_DENSITY_BINS = 201
 
 
 @dataclass
@@ -45,9 +49,6 @@ class KernelDecomposition:
     rank: int
     condition_number: float
     threshold: float
-
-    def project(self, states):
-        return states @ self.basis.T if self.m else np.empty(states.shape[:-1] + (0,))
 
 
 def kernel_basis(sigma_matrix):
@@ -165,7 +166,7 @@ def _atom_score_grid(samples, eps):
     return float(counts.max()) / samples.shape[0]
 
 
-def continuity_diagnostic(pi_samples, seed=0, eps_rel=1e-6, n_density=201, conditioning=None):
+def continuity_diagnostic(pi_samples, seed=0, conditioning=None):
     """Heuristic atom check on projected samples at a fixed time.
 
     The atom score is the largest fraction of samples within the atom radius
@@ -192,7 +193,7 @@ def continuity_diagnostic(pi_samples, seed=0, eps_rel=1e-6, n_density=201, condi
         eps = 0.0
         baseline = 1.0 / n
     else:
-        eps = eps_rel * span
+        eps = _ATOM_RADIUS_REL * span
         score = _atom_score_1d(samples[:, 0], eps) if m == 1 else _atom_score_grid(samples, eps)
         rng = make_rng(seed, stream=977)
         uniform = rng.uniform(samples.min(axis=0), samples.max(axis=0), size=(n, m))
@@ -212,7 +213,7 @@ def continuity_diagnostic(pi_samples, seed=0, eps_rel=1e-6, n_density=201, condi
             col = samples[:, j]
             lo, hi = float(col.min()), float(col.max())
             pad = 0.05 * (hi - lo) if hi > lo else 1.0
-            edges = np.linspace(lo - pad, hi + pad, n_density + 1)
+            edges = np.linspace(lo - pad, hi + pad, _DENSITY_BINS + 1)
             hist, _ = np.histogram(col, bins=edges, density=True)
             window = np.exp(-0.5 * (np.arange(-4, 5) / 1.5) ** 2)
             window /= window.sum()

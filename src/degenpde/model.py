@@ -36,11 +36,17 @@ __all__ = [
     "CoefficientNorms",
     "MbsModel",
     "ProblemSpec",
-    "hamiltonian_eval",
     "mbs_to_general",
     "mbs_price_problem",
     "discount_and_xi",
 ]
+
+
+# Times sampled on [0, T] for the stability bound: the diffusion norm here and
+# the upwind drift speed in ``solver.GridSpec``.
+STABILITY_TIME_SAMPLES = 64
+# Times sampled on [0, T) to check that sigma(t) keeps one shape and rank.
+_SIGMA_RANK_SAMPLES = 17
 
 
 def _dot(a, b):
@@ -97,8 +103,8 @@ class ProblemSpec:
         s = np.asarray(self.sigma(t), dtype=float)
         return s @ s.T
 
-    def max_diffusion_norm(self, horizon, samples=64):
-        ts = np.linspace(0.0, horizon, samples)
+    def max_diffusion_norm(self, horizon):
+        ts = np.linspace(0.0, horizon, STABILITY_TIME_SAMPLES)
         return max(float(np.linalg.norm(self.sigma_sq(t), 2)) for t in ts)
 
     def hamiltonian(self, x, t, u, p, X, drift_p=None):
@@ -152,7 +158,6 @@ class CoefficientSet:
     dim: int
     noise_dim: int
     horizon: float = 1.0
-    range_compatible: bool = False
     norms: Optional[CoefficientNorms] = None
     label: str = "general"
 
@@ -179,9 +184,9 @@ class CoefficientSet:
             )
         self._check_sigma_rank()
 
-    def _check_sigma_rank(self, samples=17):
+    def _check_sigma_rank(self):
         ranks = set()
-        for t in np.linspace(0.0, self.horizon * (1.0 - 1e-9), samples):
+        for t in np.linspace(0.0, self.horizon * (1.0 - 1e-9), _SIGMA_RANK_SAMPLES):
             s = np.asarray(self.sigma(t), dtype=float)
             if s.shape != (self.dim, self.noise_dim):
                 raise ContractViolationError(
@@ -221,22 +226,6 @@ class CoefficientSet:
             label=self.label,
             norms=self.norms,
         )
-
-
-def hamiltonian_eval(x, t, u, p, X, coeffs):
-    """Evaluate H(x, t, u, p, X) for a CoefficientSet, exactly as written.
-
-    Raises a domain violation when u leaves the open domain interval and a
-    contract violation when X is not symmetric.
-    """
-    a, b = coeffs.domain_interval
-    if not (a < u < b):
-        raise DomainViolationError("u outside the coefficient domain", u=u, interval=(a, b))
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(X))))
-    if not np.allclose(X, X.T, atol=1e-12 * scale, rtol=0.0):
-        raise ContractViolationError("Hessian argument must be symmetric")
-    return coeffs.as_problem().hamiltonian(x, t, u, p, X)
 
 
 @dataclass(frozen=True)
@@ -364,7 +353,6 @@ def mbs_to_general(model, sigma, mu, value_interval=(0.25, 4.0), domain_interval
         dim=model.dim,
         noise_dim=d,
         horizon=model.horizon,
-        range_compatible=True,
         norms=norms,
         label="mbs_general",
     )

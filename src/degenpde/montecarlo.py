@@ -193,9 +193,6 @@ class GradientInterpolant:
             self._rows, self._term = np.empty(shape), np.empty(shape[2:])
         return self._rows, self._term
 
-    def value(self, x, theta):
-        return self.evaluate(x, theta)[0]
-
     def clamp_fraction(self):
         if self.total_evaluations == 0:
             return 0.0

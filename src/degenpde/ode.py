@@ -53,10 +53,6 @@ class OdeResult:
     status: str  # "target" | "tau_max" | "saturated" | "blow_up"
     blow_up_tau: Optional[float] = None
 
-    @property
-    def covered(self):
-        return self.status == "target"
-
 
 def _hermite(t0, y0, f0, t1, y1, f1, t):
     h = t1 - t0
@@ -142,7 +138,6 @@ def integrate_increasing(
     rtol=1e-10,
     atol=1e-13,
     max_step=np.inf,
-    first_step=None,
 ):
     """Integrate a strictly positive-slope scalar ODE with event handling.
 
@@ -161,8 +156,7 @@ def integrate_increasing(
         raise StiffnessError("right side not finite at the initial point", tau=t, value=y)
 
     taus, ys, slopes = [t], [y], [f]
-    h = first_step if first_step is not None else min(max_step, span / 64.0)
-    h = min(h, max_step, span)
+    h = min(max_step, span / 64.0)
     status = "tau_max"
     blow_tau = None
 

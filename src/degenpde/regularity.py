@@ -103,7 +103,6 @@ class EnvelopeFit:
     rate: float
     offset: float
     max_slack: float = 0.0
-    sse: float = 0.0
 
     def __iter__(self):
         return iter((self.amplitude, self.rate, self.offset))
@@ -214,7 +213,7 @@ def envelope_fit(series, times):
     if series.shape != times.shape or series.size < 4:
         raise ContractViolationError("envelope fit needs at least 4 aligned samples")
     if np.all(series == 0.0):
-        return EnvelopeFit(0.0, 0.0, 0.0, 0.0, 0.0)
+        return EnvelopeFit(0.0, 0.0, 0.0, 0.0)
     t_span = max(float(times.max() - times.min()), 1e-12)
     rates = np.concatenate([[1e-3 / t_span], np.geomspace(1e-2, 60.0, 121) / t_span])
     best = None
@@ -239,7 +238,7 @@ def envelope_fit(series, times):
     c0 += shift
     envelope += shift
     slack = envelope - series
-    return EnvelopeFit(m0, rate, c0, float(slack.max()), sse)
+    return EnvelopeFit(m0, rate, c0, float(slack.max()))
 
 
 @dataclass
@@ -261,6 +260,10 @@ def lipschitz_estimates(field, collar=4):
     vals = field.values
     m = grid.steps
     lip_x = np.zeros(m + 1)
+    # max |u_k - u_(k-1)| / dt per step, taken slice by slice; dividing by
+    # dt > 0 keeps the order, so the overall max equals that of the quotients
+    lip_t = np.empty(m)
+    prev = vals[0][box]
     for k in range(m + 1):
         u = vals[k][box]
         worst = 0.0
@@ -269,9 +272,10 @@ def lipschitz_estimates(field, collar=4):
             if d.size:
                 worst = max(worst, float(d.max()))
         lip_x[k] = worst
-    dt_vals = np.abs(np.diff(vals[(slice(None),) + box], axis=0)) / grid.dt
-    lip_t = float(dt_vals.max()) if dt_vals.size else 0.0
-    return LipschitzReport(lip_x=lip_x, lip_t=lip_t)
+        if k:
+            lip_t[k - 1] = np.max(np.abs(u - prev)) / grid.dt
+            prev = u
+    return LipschitzReport(lip_x=lip_x, lip_t=float(lip_t.max()))
 
 
 @dataclass
@@ -285,7 +289,6 @@ class BoundConstants:
     c0_init: float
     b1: float
     b2: float
-    meta: dict = dataclass_field(default_factory=dict)
 
     def alpha(self, t):
         t = np.asarray(t, dtype=float)
@@ -323,36 +326,33 @@ def _p_candidates(problem, x_lat, t, p_cap, n_random, rng):
     return np.stack([np.broadcast_to(c, x_lat.shape) for c in cands])
 
 
-def initial_slope_bound(
-    problem,
-    axes,
-    horizon,
-    p_cap,
-    hess_cap,
-    n_times=9,
-    n_u=9,
-    lattice_stride=None,
-    n_random_dirs=16,
-    seed=7,
-):
+# Probe set of ``initial_slope_bound``: times on [0, T), values on the value
+# interval, and seeded random gradient directions.
+_SLOPE_TIMES = 9
+_SLOPE_VALUES = 9
+_SLOPE_RANDOM_DIRS = 16
+_SLOPE_SEED = 7
+
+
+def initial_slope_bound(problem, axes, horizon, p_cap, hess_cap):
     """Sampled sup of |H| over the probe lattice with capped gradient data.
 
-    The gradient candidates sit on the cap sphere (axis directions, the top
+    The lattice keeps every stride-th node, about 40 cells per axis. The
+    gradient candidates sit on the cap sphere (axis directions, the top
     singular direction of sigma, seeded random directions, and per-point
     alignments with the drift and the sigma w field); the Hessian candidates
     are 0 and +/- cap * identity, where the trace term is extremal. H is
     evaluated at X = 0 and the trace caps are added afterwards.
     """
     dim = problem.dim
-    if lattice_stride is None:
-        lattice_stride = max(1, (len(axes[0]) - 1) // 40)
+    lattice_stride = max(1, (len(axes[0]) - 1) // 40)
     lat_axes = [ax[::lattice_stride] for ax in axes]
     mesh = np.stack(np.meshgrid(*lat_axes, indexing="ij"), axis=-1)
     x_lat = mesh.reshape(-1, dim)
     lo, hi = problem.value_interval
-    u_samples = np.linspace(lo, hi, n_u)
-    times = np.linspace(0.0, horizon * (1.0 - 1e-9), n_times)
-    rng = np.random.default_rng(seed)
+    u_samples = np.linspace(lo, hi, _SLOPE_VALUES)
+    times = np.linspace(0.0, horizon * (1.0 - 1e-9), _SLOPE_TIMES)
+    rng = np.random.default_rng(_SLOPE_SEED)
     zero_hess = np.zeros((dim, dim))
 
     worst = 0.0
@@ -361,7 +361,7 @@ def initial_slope_bound(
         if hess_cap > 0.0:
             tr = float(np.trace(problem.sigma_sq(t)))
             trace_caps.extend([-0.5 * hess_cap * tr, 0.5 * hess_cap * tr])
-        cands = _p_candidates(problem, x_lat, t, p_cap, n_random_dirs, rng)
+        cands = _p_candidates(problem, x_lat, t, p_cap, _SLOPE_RANDOM_DIRS, rng)
         for u in u_samples:
             u_arr = np.full(x_lat.shape[0], float(u))
             base = problem.hamiltonian(x_lat, t, u_arr, cands, zero_hess)
@@ -402,7 +402,7 @@ def time_growth_constants(norms, w1, w2, dim):
     return float(b1), float(b2)
 
 
-def bound_constants(problem, axes, horizon, u0_norms, solution_norms=None, **sup_kwargs):
+def bound_constants(problem, axes, horizon, u0_norms, solution_norms=None):
     """Computable bound constants for a problem on a probe lattice.
 
     u0_norms is the pair (gradient cap, Hessian cap) of the initial datum;
@@ -412,29 +412,20 @@ def bound_constants(problem, axes, horizon, u0_norms, solution_norms=None, **sup
     grad_cap, hess_cap = u0_norms
     if not (np.isfinite(grad_cap) and np.isfinite(hess_cap)):
         raise ConfigurationError("initial datum norms must be finite", norms=u0_norms)
-    c0 = initial_slope_bound(problem, axes, horizon, grad_cap, hess_cap, **sup_kwargs)
-    meta = {
-        "p_cap": float(grad_cap),
-        "hess_cap": float(hess_cap),
-        "n_times": sup_kwargs.get("n_times", 9),
-        "n_u": sup_kwargs.get("n_u", 9),
-    }
+    c0 = initial_slope_bound(problem, axes, horizon, grad_cap, hess_cap)
     if solution_norms is None:
-        return BoundConstants(c0_init=c0, b1=0.0, b2=0.0, meta=dict(meta, time_growth=False))
+        return BoundConstants(c0_init=c0, b1=0.0, b2=0.0)
     if problem.norms is None:
         raise ConfigurationError("problem carries no coefficient norms for the time-growth pair")
     w1, w2 = solution_norms
     b1, b2 = time_growth_constants(problem.norms, w1, w2, problem.dim)
-    return BoundConstants(c0_init=c0, b1=b1, b2=b2, meta=dict(meta, time_growth=True))
+    return BoundConstants(c0_init=c0, b1=b1, b2=b2)
 
 
 @dataclass
 class DeviationReport:
     worst_ratio: float
     ok: bool
-    times: np.ndarray = dataclass_field(repr=False, default=None)
-    deviations: np.ndarray = dataclass_field(repr=False, default=None)
-    bounds: np.ndarray = dataclass_field(repr=False, default=None)
 
 
 def initial_deviation_check(field, c0_init, tolerance, horizon_fraction=1.0, collar=4):
@@ -443,25 +434,18 @@ def initial_deviation_check(field, c0_init, tolerance, horizon_fraction=1.0, col
     box = _collar_box(grid.shape, collar)
     u0 = field.values[0][box]
     t_max = horizon_fraction * grid.horizon
-    times = []
     devs = []
     bounds = []
     for k in range(1, grid.steps + 1):
         t = field.times[k]
         if t > t_max + 1e-15:
             break
-        dev = float(np.max(np.abs(field.values[k][box] - u0)))
-        times.append(t)
-        devs.append(dev)
+        devs.append(float(np.max(np.abs(field.values[k][box] - u0))))
         bounds.append(c0_init * t + tolerance)
-    times = np.asarray(times)
-    devs = np.asarray(devs)
     bounds = np.asarray(bounds)
-    ratios = devs / np.where(bounds > 0.0, bounds, 1.0)
+    ratios = np.asarray(devs) / np.where(bounds > 0.0, bounds, 1.0)
     worst = float(ratios.max()) if ratios.size else 0.0
-    return DeviationReport(
-        worst_ratio=worst, ok=bool(worst <= 1.0), times=times, deviations=devs, bounds=bounds
-    )
+    return DeviationReport(worst_ratio=worst, ok=bool(worst <= 1.0))
 
 
 def _collar_box(shape, collar):

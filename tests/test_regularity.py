@@ -189,6 +189,18 @@ class TestLipschitz:
         assert rep.lip_x[0] == pytest.approx(1.0, abs=1e-12)
         assert rep.lip_t == 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lip_t_equals_the_field_wide_time_difference(self, dim):
+        # lip_t is taken one slice pair at a time; it equals the max of the
+        # whole field's time difference quotients bit for bit
+        grid = GridSpec(dim, 2.0, 21, 30, 0.7)
+        rng = np.random.default_rng(3)
+        steps = rng.normal(size=(grid.steps + 1,) + grid.shape) * rng.uniform(0.1, 10.0, size=grid.shape)
+        vals = steps.cumsum(axis=0)
+        box = (slice(None),) + tuple(slice(4, n - 4) for n in grid.shape)
+        expected = float((np.abs(np.diff(vals[box], axis=0)) / grid.dt).max())
+        assert lipschitz_estimates(SolutionField(vals, grid), collar=4).lip_t == expected
+
     def test_heat_flow_contracts_lipschitz(self, heat_setup):
         rep = lipschitz_estimates(heat_setup["field"], collar=4)
         lip = rep.lip_x
