@@ -25,7 +25,12 @@ from .degeneracy import (
 )
 from .errors import ConfigurationError, ContractViolationError, DegenPdeError
 from .montecarlo import make_rng, path_blocks, price_and_compare, simulate
-from .regularity import (
+# The stored-field measures (field_sup_norms ... solution_sobolev_norms and
+# residual_field) go unused here; they stay imported because bench/tracing.py
+# wraps each layer's functions under their names in this module.
+from .regularity import (  # noqa: F401
+    INITIAL_LAYER_FRACTION,
+    RegularityMeter,
     bound_constants,
     envelope_fit,
     field_sup_norms,
@@ -41,66 +46,60 @@ from .reporting import (
     write_json,
     write_table_csv,
 )
-from .solver import SolutionField, residual_field, solve
+from .solver import ResidualMeter, SolutionField, replay, residual_field, solve  # noqa: F401
 from .transform import invert, primitive_lambda, solve_Q, structural_check
 
 __all__ = ["main", "run_experiment"]
 
-# Most time slices the regularity report differentiates; longer fields are
-# strided, and the last slice always counts.
-MAX_REGULARITY_SLICES = 160
+def _march(cfg, store, regularity):
+    """Solve the configured problem in one slice walk.
 
-
-def _solve_with_summary(cfg):
-    field = solve(cfg.problem, cfg.u0, cfg.grid, theta=cfg.theta)
-    res = residual_field(field, collar=cfg.collar)
+    The residual, and with ``regularity`` the regularity meter, take each
+    slice as it is marched. Returns (field, residual report, summary, meter
+    or None); the field holds its values only with ``store``.
+    """
+    res = ResidualMeter(cfg.grid, cfg.collar)
+    reg = None
+    if regularity:
+        reg = RegularityMeter(cfg.grid, cfg.collar, cfg.diagnostics.get("offset_cap"))
+    meters = [res] if reg is None else [res, reg]
+    field = solve(cfg.problem, cfg.u0, cfg.grid, theta=cfg.theta, consumers=meters, store=store)
+    report = res.report()
     summary = {
         "variable": field.variable,
         "grid": cfg.manifest["grid"],
-        "residual": res.summary(),
+        "residual": report.summary(),
         "clamp_report": field.clamp_report,
-        "value_range": [float(field.values.min()), float(field.values.max())],
+        "value_range": field.value_range,
     }
-    return field, res, summary
+    return field, report, summary, reg
 
 
-def _regularity_report(cfg, field, res=None):
-    """Regularity diagnostics of a field; ``res`` reuses its residual report."""
-    grid = field.grid
+def _regularity_report(cfg, field, reg, res):
+    """Regularity diagnostics of ``field`` from a meter that has seen every
+    slice; ``res`` is its residual report, None when the field carries no
+    equation, and then the bounds that need one are left out."""
+    grid = reg.grid
+    problem = field.problem
     collar = cfg.collar
     cap = cfg.diagnostics.get("offset_cap")
-    stride = max(1, (grid.steps + 1) // MAX_REGULARITY_SLICES)
-    idx = list(range(0, grid.steps + 1, stride))
-    if idx[-1] != grid.steps:
-        idx.append(grid.steps)
-    times = [float(field.times[k]) for k in idx]
-    l_minus, l_plus, w2 = [], [], []
-    boxed_sups = {}
-    for k in idx:
-        lm, lp = second_difference_constants(field, k, max_offset=cap, collar=collar)
-        l_minus.append(lm)
-        l_plus.append(lp)
-        (sup, gsup, hsup), boxed_sups[k] = field_sup_norms(field.values[k], grid.axes, collar=collar)
-        w2.append(sup + gsup + hsup)
-    lip = lipschitz_estimates(field, collar=collar)
-    if res is None and field.problem is not None:
-        res = residual_field(field, collar=collar)
+    lip = reg.lipschitz.report()
     tol = 10.0 * res.max if res is not None else 0.0
 
-    fit_minus = envelope_fit(np.asarray(l_minus), np.asarray(times))
-    fit_plus = envelope_fit(np.asarray(l_plus), np.asarray(times))
+    fit_minus = envelope_fit(np.asarray(reg.l_minus), np.asarray(reg.t))
+    fit_plus = envelope_fit(np.asarray(reg.l_plus), np.asarray(reg.t))
 
     report = {
         "variable": field.variable,
         "collar": collar,
         "offset_cap": cap if cap is not None else "auto",
-        "slice_stride": stride,
+        "slice_stride": reg.stride,
         "per_slice": {
-            "t": times,
-            "L_minus": l_minus,
-            "L_plus": l_plus,
-            "lip_x": [float(lip.lip_x[k]) for k in idx],
-            "w2_norm": w2,
+            "t": reg.t,
+            "L_minus": reg.l_minus,
+            "L_plus": reg.l_plus,
+            "lip_x": [float(lip.lip_x[k]) for k in reg.indices],
+            "w2_norm": reg.w2_norm,
         },
         "lip_t": lip.lip_t,
         "envelope_minus": {
@@ -116,24 +115,16 @@ def _regularity_report(cfg, field, res=None):
             "max_slack": fit_plus.max_slack,
         },
     }
-    if field.problem is not None:
-        u0 = field.values[0]
-        _, gcap, hcap = field_sup_norms(u0, grid.axes)
-        w_norms = None
-        if field.problem.norms is not None:
-            w_norms = solution_sobolev_norms(
-                field, collar=collar, stride=stride, slice_sups=boxed_sups
-            )
-        bc = bound_constants(
-            field.problem, grid.axes, grid.horizon, (gcap, hcap), solution_norms=w_norms
-        )
-        dev = initial_deviation_check(field, bc.c0_init, tol, horizon_fraction=0.1, collar=collar)
+    if problem is not None:
+        w_norms = reg.sobolev_norms() if problem.norms is not None else None
+        bc = bound_constants(problem, grid.axes, grid.horizon, reg.initial_caps, solution_norms=w_norms)
+        dev = reg.deviation.check(bc.c0_init, tol)
         report["c0_init"] = bc.c0_init
         report["scheme_tolerance"] = tol
         report["initial_deviation"] = {
             "worst_ratio": dev.worst_ratio,
             "ok": dev.ok,
-            "horizon_fraction": 0.1,
+            "horizon_fraction": INITIAL_LAYER_FRACTION,
         }
         if w_norms is not None:
             # time-Lipschitz check against the one-sided growth bound;
@@ -192,10 +183,11 @@ def _write_outputs(cfg, out_dir, outputs):
 
 def run_experiment(cfg, out_dir):
     """solve -> diagnose -> price -> compare, writing every artifact."""
-    field, res, summary = _solve_with_summary(cfg)
+    regularity = cfg.diagnostics.get("regularity")
+    field, res, summary, reg = _march(cfg, store=True, regularity=regularity)
     outputs = {"field.csv": field, "summary.json": summary}
-    if cfg.diagnostics.get("regularity"):
-        outputs["regularity.json"] = _regularity_report(cfg, field, res)
+    if regularity:
+        outputs["regularity.json"] = _regularity_report(cfg, field, reg, res)
     if cfg.model is not None and cfg.mc:
         mode = cfg.mc["mode"]
         pricing = _price(cfg, field, cfg.mc)
@@ -217,7 +209,7 @@ def _load_field_arg(field_arg):
 
 def cmd_solve(args):
     cfg = load_config(args.config)
-    field, _, summary = _solve_with_summary(cfg)
+    field, _, summary, _ = _march(cfg, store=True, regularity=False)
     paths = _write_outputs(cfg, args.out, {"field.csv": field, "summary.json": summary})
     print(paths["summary"])
     return 0
@@ -256,10 +248,13 @@ def cmd_diagnose_regularity(args):
     if args.field:
         field = _load_field_arg(args.field)
         field.problem = cfg.problem if field.grid.dim == cfg.dim else None
-        res = None
+        reg = RegularityMeter(field.grid, cfg.collar, cfg.diagnostics.get("offset_cap"))
+        meter = None if field.problem is None else ResidualMeter(field.grid, cfg.collar)
+        replay(field, [reg] if meter is None else [meter, reg])
+        res = None if meter is None else meter.report()
     else:
-        field, res, _ = _solve_with_summary(cfg)
-    report = _regularity_report(cfg, field, res)
+        field, res, _, reg = _march(cfg, store=False, regularity=True)
+    report = _regularity_report(cfg, field, reg, res)
     sys.stdout.write(dumps_json({"lip_t": report["lip_t"], "variable": report["variable"]}))
     if args.out:
         per = report["per_slice"]
@@ -301,8 +296,12 @@ def cmd_diagnose_degeneracy(args):
         # uses the largest drift of all blocks, as one unblocked pass would
         rng = make_rng(seed)
         qv_max, drift_max, terminal = [], [], []
-        for lo, hi in path_blocks(n_paths, n_steps, cfg.dim + d_noise):
-            incs = rng.standard_normal((hi - lo, n_steps, d_noise)) * np.sqrt(cfg.horizon / n_steps)
+        # a block holds, per path and step, the noise, the states and the
+        # projection's pi, drift and residual
+        width = d_noise + cfg.dim + 3 * decomp.m
+        for lo, hi in path_blocks(n_paths, n_steps, width):
+            incs = rng.standard_normal((hi - lo, n_steps, d_noise))
+            incs *= np.sqrt(cfg.horizon / n_steps)
             ens = simulate(
                 cfg.sigma, cfg.mu, x0, 0.0, cfg.horizon, n_steps, hi - lo, measure="P", increments=incs
             )

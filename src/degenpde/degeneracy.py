@@ -141,12 +141,16 @@ def projection_paths(ensemble, decomp, mu, horizon, check=True):
         )
     pi = ensemble.states @ decomp.basis.T
     drift = np.empty((ensemble.n_paths, n_steps, decomp.m))
+    # the residual is formed step by step and squared in place, so the pass
+    # holds pi, drift and resid and no path-sized temporary
+    resid = np.empty_like(drift)
     for k in range(n_steps):
         theta = horizon - times[k]
         mu_val = np.asarray(mu(ensemble.states[:, k, :], theta), dtype=float)
         drift[:, k, :] = mu_val @ decomp.basis.T
-    resid = np.diff(pi, axis=1) - ds * drift
-    qv = np.sum(resid**2, axis=(1, 2))
+        resid[:, k, :] = pi[:, k + 1, :] - pi[:, k, :] - ds * drift[:, k, :]
+    resid *= resid
+    qv = np.sum(resid, axis=(1, 2))
     if check:
         drift_scale = float(np.max(np.abs(drift))) if drift.size else 0.0
         check_projection(float(qv.max()) if qv.size else 0.0, drift_scale, horizon, ds)

@@ -47,6 +47,10 @@ __all__ = [
 STABILITY_TIME_SAMPLES = 64
 # Times sampled on [0, T) to check that sigma(t) keeps one shape and rank.
 _SIGMA_RANK_SAMPLES = 17
+# Relative residual up to which w(x, t) counts as in the range of sigma^T(t).
+_RANGE_TOL = 1e-8
+# Times sampled on [0, T] by ``MbsModel.validate``.
+_VALIDATE_TIMES = 9
 
 
 def _dot(a, b):
@@ -196,7 +200,7 @@ class CoefficientSet:
         if len(ranks) != 1:
             raise ContractViolationError("sigma(t) must have constant rank", ranks=sorted(ranks))
 
-    def check_range_compatibility(self, probe_points, probe_times, tol=1e-8):
+    def check_range_compatibility(self, probe_points, probe_times):
         """Verify w(x,t) lies in the range of sigma^T(t) at the probes."""
         for t in probe_times:
             s = np.asarray(self.sigma(t), dtype=float)
@@ -204,7 +208,7 @@ class CoefficientSet:
             sol, *_ = np.linalg.lstsq(s.T, wv.T, rcond=None)
             resid = s.T @ sol - wv.T
             worst = float(np.max(np.abs(resid))) if resid.size else 0.0
-            if worst > tol * max(1.0, float(np.max(np.abs(wv))) if wv.size else 1.0):
+            if worst > _RANGE_TOL * max(1.0, float(np.max(np.abs(wv))) if wv.size else 1.0):
                 raise ContractViolationError(
                     "w(x,t) leaves the range of sigma^T", time=t, residual=worst
                 )
@@ -254,12 +258,12 @@ class MbsModel:
         if not callable(getattr(self.rate_r, "integral", None)):
             raise ContractViolationError("short rate needs an integral(t) antiderivative")
 
-    def validate(self, probe_points=None, n_times=9):
+    def validate(self, probe_points=None):
         """Run the smooth-coefficient sampler and the xi invariants."""
         xi, _ = discount_and_xi(self)
         if abs(xi(0.0) - 1.0) > 1e-12:
             raise ContractViolationError("xi(0) must equal 1", xi0=xi(0.0))
-        ts = np.linspace(0.0, self.horizon, n_times)
+        ts = np.linspace(0.0, self.horizon, _VALIDATE_TIMES)
         xs = np.asarray([float(xi(t)) for t in ts])
         rs = np.asarray([float(self.rate_r(t)) for t in ts])
         if np.all(rs > 0.0) and np.any(np.diff(xs) <= 0.0):

@@ -1,6 +1,7 @@
 """Measured regularity diagnostics on solution fields.
 
-Everything here is a read-only pass over a computed field: one-sided
+Everything here reads a computed field, either stored or one slice at a time
+as the solver marches it (the ``*Meter`` classes): one-sided
 second-difference constants per time slice, their exponential-in-time upper
 envelope, spatial and temporal Lipschitz constants, the initial-layer slope
 bound assembled from the Hamiltonian, and the time-growth constants built
@@ -20,15 +21,18 @@ __all__ = [
     "minimize_bounded",
     "envelope_fit",
     "LipschitzReport",
+    "LipschitzMeter",
     "lipschitz_estimates",
     "BoundConstants",
     "initial_slope_bound",
     "time_growth_constants",
     "bound_constants",
     "DeviationReport",
+    "DeviationMeter",
     "initial_deviation_check",
     "field_sup_norms",
     "solution_sobolev_norms",
+    "RegularityMeter",
 ]
 
 
@@ -66,11 +70,20 @@ def second_difference_constants(field, t_index, max_offset=None, collar=4):
     bound. Offsets run over grid multiples up to ``max_offset`` (default a
     quarter of the smallest half-width) along each axis, plus diagonal pairs.
     """
-    grid = field.grid
-    u = field.values[t_index]
+    return _second_differences(field.values[t_index], field.grid, max_offset, collar)
+
+
+def _second_differences(u, grid, max_offset, collar):
+    """``second_difference_constants`` of the slice ``u`` on ``grid``.
+
+    Each offset's differences u[+o] + u[-o] - 2u[c] are divided by h^2 only
+    at their min and max: rounding x / h^2 is monotone for h^2 > 0, so those
+    are the extreme quotients, bit for bit.
+    """
     if max_offset is None:
         max_offset = min(grid.half_width) / 4.0
     dx = grid.dx
+    two_u = 2.0 * u
     worst_min = 0.0
     worst_max = 0.0
     for o in _offset_vectors(grid, max_offset):
@@ -89,9 +102,9 @@ def second_difference_constants(field, t_index, max_offset=None, collar=4):
             minus.append(slice(m - oi, n - m - oi))
         if not ok:
             continue
-        quot = (u[tuple(plus)] + u[tuple(minus)] - 2.0 * u[tuple(center)]) / h2
-        worst_min = min(worst_min, float(quot.min()))
-        worst_max = max(worst_max, float(quot.max()))
+        diff = u[tuple(plus)] + u[tuple(minus)] - two_u[tuple(center)]
+        worst_min = min(worst_min, float(diff.min()) / h2)
+        worst_max = max(worst_max, float(diff.max()) / h2)
     return max(0.0, -worst_min), max(0.0, worst_max)
 
 
@@ -250,32 +263,48 @@ class LipschitzReport:
         return float(self.lip_x.max())
 
 
-def lipschitz_estimates(field, collar=4):
-    """Adjacent-node difference quotients: spatial per slice, temporal overall."""
-    grid = field.grid
-    box = _collar_box(grid.shape, collar)
-    for n in grid.shape:
-        if n - 2 * collar < 2:
-            raise ContractViolationError("collar leaves too few nodes", collar=collar)
-    vals = field.values
-    m = grid.steps
-    lip_x = np.zeros(m + 1)
-    # max |u_k - u_(k-1)| / dt per step, taken slice by slice; dividing by
-    # dt > 0 keeps the order, so the overall max equals that of the quotients
-    lip_t = np.empty(m)
-    prev = vals[0][box]
-    for k in range(m + 1):
-        u = vals[k][box]
+class LipschitzMeter:
+    """Adjacent-node difference quotients: spatial per slice, temporal overall.
+
+    Slices arrive in order through ``take``; the meter holds the previous
+    slice's collar box for the time quotient.
+    """
+
+    def __init__(self, grid, collar=4):
+        for n in grid.shape:
+            if n - 2 * collar < 2:
+                raise ContractViolationError("collar leaves too few nodes", collar=collar)
+        self.grid = grid
+        self._box = _collar_box(grid.shape, collar)
+        self._lip_x = np.zeros(grid.steps + 1)
+        # max |u_k - u_(k-1)| / dt per step; dividing by dt > 0 keeps the
+        # order, so the overall max equals that of the quotients
+        self._lip_t = np.empty(grid.steps)
+        self._prev = None
+
+    def take(self, k, u, h=None):
+        grid = self.grid
+        u = u[self._box]
         worst = 0.0
         for i in range(grid.dim):
             d = np.abs(np.diff(u, axis=i)) / grid.dx[i]
             if d.size:
                 worst = max(worst, float(d.max()))
-        lip_x[k] = worst
+        self._lip_x[k] = worst
         if k:
-            lip_t[k - 1] = np.max(np.abs(u - prev)) / grid.dt
-            prev = u
-    return LipschitzReport(lip_x=lip_x, lip_t=float(lip_t.max()))
+            self._lip_t[k - 1] = np.max(np.abs(u - self._prev)) / grid.dt
+        self._prev = u
+
+    def report(self):
+        return LipschitzReport(lip_x=self._lip_x, lip_t=float(self._lip_t.max()))
+
+
+def lipschitz_estimates(field, collar=4):
+    """``LipschitzMeter``'s report of a stored field."""
+    meter = LipschitzMeter(field.grid, collar)
+    for k, u in enumerate(field.values):
+        meter.take(k, u)
+    return meter.report()
 
 
 @dataclass
@@ -428,24 +457,39 @@ class DeviationReport:
     ok: bool
 
 
+class DeviationMeter:
+    """max_x |u(., t) - u0| over the collar box, slice by slice, for t up to
+    ``horizon_fraction`` of the horizon; ``check`` compares them with a bound."""
+
+    def __init__(self, grid, horizon_fraction=1.0, collar=4):
+        self._box = _collar_box(grid.shape, collar)
+        self._times = grid.times
+        self._t_max = horizon_fraction * grid.horizon
+        self._u0 = None
+        self._t = []
+        self._devs = []
+
+    def take(self, k, u, h=None):
+        if k == 0:
+            self._u0 = u[self._box]
+        elif self._times[k] <= self._t_max + 1e-15:
+            self._t.append(self._times[k])
+            self._devs.append(float(np.max(np.abs(u[self._box] - self._u0))))
+
+    def check(self, c0_init, tolerance):
+        """Verify each deviation against c0_init t + tolerance."""
+        bounds = np.asarray([c0_init * t + tolerance for t in self._t])
+        ratios = np.asarray(self._devs) / np.where(bounds > 0.0, bounds, 1.0)
+        worst = float(ratios.max()) if ratios.size else 0.0
+        return DeviationReport(worst_ratio=worst, ok=bool(worst <= 1.0))
+
+
 def initial_deviation_check(field, c0_init, tolerance, horizon_fraction=1.0, collar=4):
     """Verify max_x |u(., t) - u0| <= c0_init t + tolerance slice by slice."""
-    grid = field.grid
-    box = _collar_box(grid.shape, collar)
-    u0 = field.values[0][box]
-    t_max = horizon_fraction * grid.horizon
-    devs = []
-    bounds = []
-    for k in range(1, grid.steps + 1):
-        t = field.times[k]
-        if t > t_max + 1e-15:
-            break
-        devs.append(float(np.max(np.abs(field.values[k][box] - u0))))
-        bounds.append(c0_init * t + tolerance)
-    bounds = np.asarray(bounds)
-    ratios = np.asarray(devs) / np.where(bounds > 0.0, bounds, 1.0)
-    worst = float(ratios.max()) if ratios.size else 0.0
-    return DeviationReport(worst_ratio=worst, ok=bool(worst <= 1.0))
+    meter = DeviationMeter(field.grid, horizon_fraction, collar)
+    for k, u in enumerate(field.values):
+        meter.take(k, u)
+    return meter.check(c0_init, tolerance)
 
 
 def _collar_box(shape, collar):
@@ -487,6 +531,17 @@ def field_sup_norms(values, axes, collar=None):
     return whole, boxed
 
 
+def _sobolev_sups(boxed_sups):
+    """(W1, W2): the sups of |u| + |grad u| and of |u| + |grad u| + |hess u|
+    over per-slice (value, gradient, Hessian) sups."""
+    w1 = 0.0
+    w2 = 0.0
+    for val, gmax, hmax in boxed_sups:
+        w1 = max(w1, val + gmax)
+        w2 = max(w2, val + gmax + hmax)
+    return w1, w2
+
+
 def solution_sobolev_norms(field, collar=4, stride=1, slice_sups=None):
     """Measured sups of |u| + |grad u| and + |hess u| over the field.
 
@@ -497,13 +552,56 @@ def solution_sobolev_norms(field, collar=4, stride=1, slice_sups=None):
     grid = field.grid
     box = _collar_box(grid.shape, collar)
     slice_sups = slice_sups or {}
-    w1 = 0.0
-    w2 = 0.0
-    for k in range(0, grid.steps + 1, stride):
-        if k in slice_sups:
-            val, gmax, hmax = slice_sups[k]
-        else:
-            val, gmax, hmax = _slice_sups(field.values[k], grid.axes, [box])[0]
-        w1 = max(w1, val + gmax)
-        w2 = max(w2, val + gmax + hmax)
-    return w1, w2
+    return _sobolev_sups(
+        slice_sups[k] if k in slice_sups else _slice_sups(field.values[k], grid.axes, [box])[0]
+        for k in range(0, grid.steps + 1, stride)
+    )
+
+
+# Most time slices the regularity report differentiates; longer fields are
+# strided, and the last slice always counts.
+MAX_REGULARITY_SLICES = 160
+# Share of the horizon over which the report checks the initial-layer bound.
+INITIAL_LAYER_FRACTION = 0.1
+
+
+class RegularityMeter:
+    """The per-slice measurements of the regularity report, slice by slice.
+
+    Every ``stride``-th slice and the last get the one-sided second-difference
+    constants and the sups of value, gradient and Hessian; every slice feeds
+    the Lipschitz quotients and the initial-layer deviations. The meter
+    holds a few slices, never the field.
+    """
+
+    def __init__(self, grid, collar, max_offset):
+        self.grid = grid
+        self.stride = max(1, (grid.steps + 1) // MAX_REGULARITY_SLICES)
+        self._collar = collar
+        self._max_offset = max_offset
+        self.lipschitz = LipschitzMeter(grid, collar)
+        self.deviation = DeviationMeter(grid, INITIAL_LAYER_FRACTION, collar)
+        self.indices, self.t, self.l_minus, self.l_plus, self.w2_norm = [], [], [], [], []
+        self.initial_caps = None  # gradient and Hessian sups of the whole first slice
+        self._boxed = []
+
+    def take(self, k, u, h=None):
+        self.lipschitz.take(k, u)
+        self.deviation.take(k, u)
+        if k % self.stride and k != self.grid.steps:
+            return
+        lm, lp = _second_differences(u, self.grid, self._max_offset, self._collar)
+        (sup, gsup, hsup), boxed = field_sup_norms(u, self.grid.axes, collar=self._collar)
+        self.indices.append(k)
+        self.t.append(float(self.grid.times[k]))
+        self.l_minus.append(lm)
+        self.l_plus.append(lp)
+        self.w2_norm.append(sup + gsup + hsup)
+        if k == 0:
+            self.initial_caps = (gsup, hsup)
+        if k % self.stride == 0:
+            self._boxed.append(boxed)
+
+    def sobolev_norms(self):
+        """``solution_sobolev_norms(field, collar, stride)`` of the slices seen."""
+        return _sobolev_sups(self._boxed)

@@ -25,6 +25,8 @@ __all__ = [
     "discretize_hamiltonian",
     "step",
     "solve",
+    "replay",
+    "ResidualMeter",
     "residual_field",
 ]
 
@@ -153,34 +155,34 @@ def stable_step_count(
 
 
 class SolutionField:
-    """Grid-sampled solution over space x time and its discrete Hamiltonian."""
+    """Grid-sampled solution over space x time and its discrete Hamiltonian.
+
+    ``values`` is None for a field that ``solve`` marched without storing it;
+    such a field keeps its grid, equation, clamp report and value range.
+    """
 
     def __init__(self, values, grid, problem=None, variable="u"):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.steps + 1,) + tuple(grid.shape):
-            raise ContractViolationError(
-                "field values have wrong shape",
-                expected=(grid.steps + 1,) + tuple(grid.shape),
-                got=values.shape,
-            )
+        if values is not None:
+            values = np.asarray(values, dtype=float)
+            if values.shape != (grid.steps + 1,) + tuple(grid.shape):
+                raise ContractViolationError(
+                    "field values have wrong shape",
+                    expected=(grid.steps + 1,) + tuple(grid.shape),
+                    got=values.shape,
+                )
         self.values = values
         self.grid = grid
         self.problem = problem
         self.variable = variable
         self.times = grid.times
         self.clamp_report = {"roundoff_clamped_nodes": 0, "max_excess": 0.0}
-        self._mesh = self._interior_mesh = self._last_h = None
+        self.value_range = None
+        self._interior_mesh = None
 
     @classmethod
     def allocate(cls, grid, problem=None, variable="u"):
         values = np.empty((grid.steps + 1,) + tuple(grid.shape), dtype=float)
         return cls(values, grid, problem=problem, variable=variable)
-
-    @property
-    def mesh(self):
-        if self._mesh is None:
-            self._mesh = self.grid.mesh()
-        return self._mesh
 
     def interior_hamiltonian(self, k):
         """Discrete H of slice k over the interior nodes."""
@@ -188,15 +190,9 @@ class SolutionField:
             raise ContractViolationError("field carries no equation to evaluate")
         if self._interior_mesh is None:
             self._interior_mesh = self.grid.mesh(interior=True)
-        # The last result stays referenced, never read. With every per-slice
-        # array freed, malloc hands the top of the heap back to the system
-        # after each slice and faults it in again on the next: solve and
-        # residual on a 101^2 grid took 189 000 minor page faults, not 6 000,
-        # and twice the time.
-        self._last_h = _interior_hamiltonian(
+        return _interior_hamiltonian(
             self.problem, self.grid, self._interior_mesh, self.values[k], self.times[k]
         )
-        return self._last_h
 
 
 def _shifted(u, dim, axis, off, second_axis=None, second_off=0):
@@ -268,16 +264,12 @@ def _fill_boundary(values, dim):
     return values
 
 
-def step(field, k):
-    """One forward-Euler step from slice k; returns (values, clamped_nodes).
+def _advance(problem, grid, u, h_int, k):
+    """Forward-Euler step of slice k with its interior H; (values, clamped, excess).
 
     Values that leave the value interval by more than the clamping tolerance
     abort with a blow-up error naming the offending node and step.
     """
-    grid = field.grid
-    problem = field.problem
-    u = field.values[k]
-    h_int = field.interior_hamiltonian(k)
     inner = tuple(slice(1, -1) for _ in range(grid.dim))
     new = u.copy()
     new[inner] = u[inner] - grid.dt * h_int
@@ -303,38 +295,74 @@ def step(field, k):
     return new, clamped, max(worst, 0.0)
 
 
-def solve(problem, u0, grid, theta=DEFAULT_THETA):
-    """March the full space-time field from the initial datum.
+def step(field, k):
+    """One forward-Euler step from slice k of a stored field; returns
+    (values, clamped_nodes, max_excess)."""
+    return _advance(field.problem, field.grid, field.values[k], field.interior_hamiltonian(k), k)
+
+
+def solve(problem, u0, grid, theta=DEFAULT_THETA, consumers=(), store=True):
+    """March the space-time field from the initial datum, one slice at a time.
 
     u0 may be an array on the grid or a callable of the mesh (shape
     (..., N) -> (...)). The stability bound is enforced up front; the clamp
     report tracks roundoff-size excursions outside the value interval.
+
+    Each consumer's ``take(k, u, h)`` sees slices k = 0..M in order, with h
+    the interior H that slice k was stepped with (None for the last slice);
+    consumers must not write to either array. Without ``store`` the returned
+    field holds no values, and the march keeps a few slices at a time.
     """
     grid.validate_stability(problem, theta=theta)
-    field = SolutionField.allocate(
-        grid, problem=problem, variable="U" if problem.label == "mbs_price" else "u"
-    )
-    mesh = field.mesh
-    init = u0(mesh) if callable(u0) else np.asarray(u0, dtype=float)
-    if init.shape != tuple(grid.shape):
-        raise ContractViolationError("initial datum has wrong shape", got=init.shape)
+    variable = "U" if problem.label == "mbs_price" else "u"
+    if store:
+        field = SolutionField.allocate(grid, problem=problem, variable=variable)
+    else:
+        field = SolutionField(None, grid, problem=problem, variable=variable)
+    init = u0(grid.mesh()) if callable(u0) else u0
+    u = np.asarray(init, dtype=float)
+    if u.shape != tuple(grid.shape):
+        raise ContractViolationError("initial datum has wrong shape", got=u.shape)
     lo, hi = problem.value_interval
-    if init.min() < lo - 1e-12 * (hi - lo) or init.max() > hi + 1e-12 * (hi - lo):
+    if u.min() < lo - 1e-12 * (hi - lo) or u.max() > hi + 1e-12 * (hi - lo):
         raise ContractViolationError(
             "initial datum must map into the value interval",
-            datum_range=(float(init.min()), float(init.max())),
+            datum_range=(float(u.min()), float(u.max())),
             interval=(lo, hi),
         )
-    field.values[0] = init
+    x_int = grid.mesh(interior=True)
+    times = grid.times
+    m = grid.steps
+    mins, maxs = np.empty(m + 1), np.empty(m + 1)
     clamped_total = 0
     max_excess = 0.0
-    for k in range(grid.steps):
-        new, clamped, worst = step(field, k)
-        field.values[k + 1] = new
-        clamped_total += clamped
-        max_excess = max(max_excess, worst)
+    for k in range(m + 1):
+        h = _interior_hamiltonian(problem, grid, x_int, u, times[k]) if k < m else None
+        if store:
+            field.values[k] = u
+        for consumer in consumers:
+            consumer.take(k, u, h)
+        mins[k], maxs[k] = u.min(), u.max()
+        if k < m:
+            u, clamped, worst = _advance(problem, grid, u, h, k)
+            clamped_total += clamped
+            max_excess = max(max_excess, worst)
     field.clamp_report = {"roundoff_clamped_nodes": clamped_total, "max_excess": max_excess}
+    field.value_range = [float(mins.min()), float(maxs.max())]
     return field
+
+
+def replay(field, consumers):
+    """Feed a stored field's slices to ``consumers`` as ``solve`` feeds them.
+
+    H is evaluated on the slices the residual reads, 1..M-1, and only when
+    the field carries its equation; every other slice comes with None.
+    """
+    m = field.grid.steps
+    for k in range(m + 1):
+        h = field.interior_hamiltonian(k) if field.problem is not None and 0 < k < m else None
+        for consumer in consumers:
+            consumer.take(k, field.values[k], h)
 
 
 @dataclass
@@ -349,33 +377,51 @@ class ResidualReport:
         return {"max": self.max, "mean": self.mean, "collar": self.collar}
 
 
-def residual_field(field, collar=4):
-    """Residuals with centered time differences and the marching stencils.
+class ResidualMeter:
+    """Residuals |du/dt + H| with centered time differences, slice by slice.
 
+    Slice k's residual needs slices k-1 and k+1 and the H of slice k, so it
+    is formed when slice k+1 arrives; the meter holds two slices and one H.
     The summary max and mean exclude a boundary collar of the given width (in
     nodes, counted from each face; at least one node is always excluded since
     the stencil itself needs interior points).
     """
-    grid = field.grid
+
+    def __init__(self, grid, collar=4):
+        trim = max(int(collar) - 1, 0)
+        for nn in grid.shape:
+            if nn - 2 - 2 * trim < 1:
+                raise ContractViolationError("collar leaves no interior nodes", collar=collar)
+        if grid.steps < 2:
+            raise ContractViolationError("residuals need at least two time steps")
+        self._sub = tuple(slice(trim, (s - 2) - trim) for s in grid.shape)
+        self._inner = tuple(slice(1, -1) for _ in range(grid.dim))
+        self._two_dt = 2.0 * grid.dt
+        self._collar = int(collar)
+        self._per_slice = np.empty(grid.steps - 1)
+        self._total = 0.0
+        self._count = 0
+        self._prev = self._cur = self._h = None
+
+    def take(self, k, u, h):
+        if k >= 2:
+            du = (u[self._inner] - self._prev[self._inner]) / self._two_dt
+            res = np.abs(du + self._h)[self._sub]
+            self._per_slice[k - 2] = res.max()
+            self._total += float(res.sum())
+            self._count += res.size
+        self._prev, self._cur, self._h = self._cur, u, h
+
+    def report(self):
+        return ResidualReport(
+            max=float(self._per_slice.max()), mean=self._total / self._count, collar=self._collar
+        )
+
+
+def residual_field(field, collar=4):
+    """Residuals of a stored field, as ``ResidualMeter`` takes them in a march."""
     if field.problem is None:
         raise ContractViolationError("residuals need the field's equation")
-    trim = max(int(collar) - 1, 0)
-    for nn in grid.shape:
-        if nn - 2 - 2 * trim < 1:
-            raise ContractViolationError("collar leaves no interior nodes", collar=collar)
-    sub = tuple(slice(trim, (s - 2) - trim) for s in grid.shape)
-    dt = grid.dt
-    m = grid.steps
-    if m < 2:
-        raise ContractViolationError("residuals need at least two time steps")
-    inner = tuple(slice(1, -1) for _ in range(grid.dim))
-    per_slice = np.empty(m - 1)
-    total = 0.0
-    count = 0
-    for k in range(1, m):
-        du = (field.values[k + 1] - field.values[k - 1]) / (2.0 * dt)
-        res = np.abs(du[inner] + field.interior_hamiltonian(k))[sub]
-        per_slice[k - 1] = res.max()
-        total += float(res.sum())
-        count += res.size
-    return ResidualReport(max=float(per_slice.max()), mean=total / count, collar=int(collar))
+    meter = ResidualMeter(field.grid, collar)
+    replay(field, [meter])
+    return meter.report()

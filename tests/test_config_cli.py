@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,16 +482,75 @@ def test_price_mode_defaults_to_q(mc_section, bench_config, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify-duality", "diagnose-regularity"])
 def test_residual_computed_once_per_run(command, bench_config, tmp_path, monkeypatch):
+    # the march evaluates H on slices 0..M-1 and the residual reads the same
+    # evaluations, so a second residual pass (or any re-evaluation) shows here
     calls = []
-    residual_field = cli.residual_field
+    hamiltonian = solver._interior_hamiltonian
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return residual_field(*args, **kwargs)
+        return hamiltonian(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "residual_field", counted)
+    monkeypatch.setattr(solver, "_interior_hamiltonian", counted)
     assert main([command, "--config", bench_config, "--out", str(tmp_path / "run")]) == 0
-    assert len(calls) == 1
+    assert len(calls) == load_config(bench_config).grid.steps
+
+
+# 2-D, 81^2 nodes and 170 steps: the stored field would be 8.6 MiB, far more
+# than the few slices the report's measures hold
+FIELD_SIZED_INI = """
+[model]
+kind = general
+dim = 2
+horizon = 1.0
+sigma = constant:0;1
+mu = zero
+lambda = constant:0.5
+eta = zero
+value_interval = -0.5,1.5
+initial = gaussian:1,0,1
+
+[grid]
+half_width = 8.0
+nodes = 81
+steps = 170
+collar = 4
+
+[diagnostics]
+offset_cap = 0.4
+"""
+
+
+def test_diagnose_regularity_holds_slices_not_the_field(tmp_path):
+    config = tmp_path / "field_sized.ini"
+    config.write_text(FIELD_SIZED_INI)
+    cfg = load_config(str(config))
+    slice_bytes = 8 * int(np.prod(cfg.grid.shape))
+    assert slice_bytes * (cfg.grid.steps + 1) >= 8 * 2**20
+    tracemalloc.start()
+    try:
+        # the fixed allowance is the slope bound's own peak: its probe
+        # lattice does not grow with the number of steps
+        regularity.bound_constants(cfg.problem, cfg.grid.axes, cfg.grid.horizon, (1.0, 1.0))
+        allowance = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(["diagnose-regularity", "--config", str(config)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < allowance + 16 * slice_bytes + 2 * 2**20
+
+
+@pytest.mark.parametrize("config", ["bench_config", "general_config"])
+def test_stored_field_gives_the_marched_report(config, request, tmp_path):
+    path = request.getfixturevalue(config)
+    field_dir, marched, stored = (str(tmp_path / name) for name in ("field", "marched", "stored"))
+    assert main(["solve", "--config", path, "--out", field_dir]) == 0
+    assert main(["diagnose-regularity", "--config", path, "--out", marched]) == 0
+    assert main(["diagnose-regularity", "--config", path, "--field", field_dir, "--out", stored]) == 0
+    for name in ("regularity.json", "regularity_slices.csv"):
+        with open(os.path.join(marched, name), "rb") as a, open(os.path.join(stored, name), "rb") as b:
+            assert a.read() == b.read()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,24 @@ x0 = 0.0
         blocked = self.run(config, self.ROWS, monkeypatch, capsys)
         assert blocked == self.run(config, self.N_PATHS, monkeypatch, capsys)
         assert blocked[0] == 0 and blocked[1]["projection"]["n_paths"] == self.N_PATHS
+
+    def test_peak_memory_is_one_block_plus_o_paths(self, config, monkeypatch, capsys):
+        from degenpde import cli, montecarlo
+
+        # an eighth of what all paths would hold: noise (1), states (2) and
+        # the projection's pi, drift and residual (1 each) per path and step
+        block = self.N_PATHS * self.N_STEPS * 6 * 8 // 8
+        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", block)
+        run = lambda: cli.main(["diagnose-degeneracy", "--config", config])
+        assert run() == 0  # the first run imports what the diagnostics need
+        tracemalloc.start()
+        try:
+            assert run() == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 1.5 * block + 32 * self.N_PATHS * 8
 
     def test_check_uses_the_drift_of_all_blocks(self, config, monkeypatch, capsys):
         # With the basis tilted by e, the projected residual is sin(e) dW, so a

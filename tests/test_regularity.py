@@ -80,6 +80,65 @@ class TestSecondDifferences:
         assert l_plus == pytest.approx(2.0, abs=1e-8)
 
 
+def _every_quotient_constants(field, k, max_offset, collar):
+    """Reference: divide every second difference by h^2, then take extremes."""
+    grid = field.grid
+    u = field.values[k]
+    dx = grid.dx
+    worst_min = worst_max = 0.0
+    for o in regularity._offset_vectors(grid, max_offset):
+        h2 = float(sum((o[i] * dx[i]) ** 2 for i in range(grid.dim)))
+        sl = []
+        for oi, n in zip(o, grid.shape):
+            m = max(collar, abs(int(oi)))
+            if n - m <= m:
+                break
+            sl.append((slice(m, n - m), slice(m + oi, n - m + oi), slice(m - oi, n - m - oi)))
+        else:
+            center, plus, minus = (tuple(s[j] for s in sl) for j in range(3))
+            quot = (u[plus] + u[minus] - 2.0 * u[center]) / h2
+            worst_min = min(worst_min, float(quot.min()))
+            worst_max = max(worst_max, float(quot.max()))
+    return max(0.0, -worst_min), max(0.0, worst_max)
+
+
+def _special_slices(shape, rng):
+    noise = rng.standard_normal(shape)
+    tiny = noise * 1e-310  # differences and quotients in the subnormal range
+    ties = np.round(noise)  # many equal differences
+    zeros = np.where(noise > 0.0, 0.0, -0.0)  # +0.0 and -0.0 mixed
+    with_nan = noise.copy()
+    with_nan.flat[len(with_nan.flat) // 2] = np.nan
+    all_nan = np.full(shape, np.nan)
+    return {
+        "noise": noise,
+        "huge": noise * 1e300,
+        "tiny": tiny,
+        "ties": ties,
+        "zeros": zeros,
+        "negative_zeros": np.full(shape, -0.0),
+        "nan": with_nan,
+        "all_nan": all_nan,
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "kind", ["noise", "huge", "tiny", "ties", "zeros", "negative_zeros", "nan", "all_nan"]
+)
+def test_second_difference_extremes_match_every_quotient(dim, kind):
+    # the constants divide only each offset's extreme differences by h^2;
+    # rounding x / h^2 is monotone, so they match the quotient extremes bit
+    # for bit, ties, signed zeros and NaN slices included
+    grid = GridSpec(dim, 1.3, 23, 1, 1.0)
+    u = _special_slices(grid.shape, np.random.default_rng(11))[kind]
+    field = SolutionField(np.stack([u, u]), grid)
+    for cap, collar in ((None, 4), (0.5, 2), (0.1, 1)):
+        got = second_difference_constants(field, 1, max_offset=cap, collar=collar)
+        ref = _every_quotient_constants(field, 1, cap if cap is not None else 1.3 / 4.0, collar)
+        assert [v.hex() for v in got] == [v.hex() for v in ref]
+
+
 class TestEnvelopeFit:
     def test_exponential_series(self):
         ts = np.linspace(0.0, 1.0, 10)

@@ -7,8 +7,10 @@ from degenpde.errors import BlowUpError, ContractViolationError, StabilityError
 from degenpde.families import constant_drift
 from degenpde.solver import (
     GridSpec,
+    ResidualMeter,
     SolutionField,
     discretize_hamiltonian,
+    replay,
     residual_field,
     solve,
     stable_step_count,
@@ -204,6 +206,40 @@ class TestResiduals:
     def test_collar_validation(self, heat_setup):
         with pytest.raises(ContractViolationError):
             residual_field(heat_setup["field"], collar=300)
+
+
+class _Recorder:
+    def __init__(self):
+        self.slices = []
+
+    def take(self, k, u, h):
+        self.slices.append((k, u.copy(), None if h is None else h.copy()))
+
+
+class TestSliceWalk:
+    def test_unstored_march_feeds_the_stored_slices_and_their_hamiltonians(self, heat_setup):
+        problem, grid, u0 = heat_setup["problem"], heat_setup["grid"], heat_setup["u0"]
+        stored = heat_setup["field"]
+        seen, meter = _Recorder(), ResidualMeter(grid, collar=4)
+        walked = solve(problem, u0, grid, consumers=[seen, meter], store=False)
+        assert walked.values is None and walked.grid == grid
+        assert walked.clamp_report == stored.clamp_report
+        assert walked.value_range == [float(stored.values.min()), float(stored.values.max())]
+        assert [k for k, _, _ in seen.slices] == list(range(grid.steps + 1))
+        for k, u, h in seen.slices:
+            assert np.array_equal(u, stored.values[k])
+            if k < grid.steps:
+                assert np.array_equal(h, stored.interior_hamiltonian(k))
+            else:
+                assert h is None
+        # the march's own H gives the stored field's residual, bit for bit
+        assert meter.report() == residual_field(stored, collar=4)
+
+    def test_replay_evaluates_only_the_hamiltonians_the_residual_reads(self, heat_setup):
+        seen = _Recorder()
+        replay(heat_setup["field"], [seen])
+        m = heat_setup["grid"].steps
+        assert [h is None for _, _, h in seen.slices] == [k in (0, m) for k in range(m + 1)]
 
 
 class TestStencilDetails:
