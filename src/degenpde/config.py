@@ -4,8 +4,9 @@ INI-style sections with coefficient families selected by name plus numeric
 parameters, e.g. ``rate = constant:0.03`` or
 ``principal = gaussian_bump:amplitude=1,center=0,width=1,ramp=3``. Matrices
 use semicolons between rows and spaces between entries
-(``sigma = constant:0;1`` is the 2x1 column). Every resolved numeric lands in
-the manifest. The grid stability bound is enforced at load.
+(``sigma = constant:0;1`` is the 2x1 column). Every key is read through one
+checked reader that records the resolved value in the manifest. The grid
+stability bound is enforced at load.
 """
 
 import configparser
@@ -26,7 +27,7 @@ from .model import (
 )
 from .solver import DEFAULT_THETA, GridSpec, stable_step_count
 
-__all__ = ["ExperimentConfig", "load_config", "mc_settings", "parse_family"]
+__all__ = ["FAMILIES", "ExperimentConfig", "load_config", "mc_settings", "parse_family", "resolve_family"]
 
 
 def parse_family(spec):
@@ -42,28 +43,19 @@ def parse_family(spec):
             continue
         if "=" in token:
             key, _, val = token.partition("=")
+            if key.strip() in kw:
+                raise ValueError(f"{key.strip()} given twice")
             kw[key.strip()] = float(val)
         else:
             pos.append(float(token))
     return name.strip(), pos, kw
 
 
-def _parse_matrix(text):
-    rows = [r for r in text.split(";") if r.strip()]
-    return np.asarray([[float(v) for v in row.split()] for row in rows])
-
-
 def _parse_interval(text):
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != 2:
         raise ConfigurationError("interval needs two endpoints", text=text)
-    def conv(p):
-        if p in ("inf", "+inf"):
-            return np.inf
-        if p == "-inf":
-            return -np.inf
-        return float(p)
-    return (conv(parts[0]), conv(parts[1]))
+    return tuple(float(p) for p in parts)
 
 
 def _parse_vector(text, dim):
@@ -72,103 +64,141 @@ def _parse_vector(text, dim):
         vals = vals * dim
     if len(vals) != dim:
         raise ConfigurationError("vector length does not match dimension", text=text, dim=dim)
-    return np.asarray(vals)
+    return vals
 
 
-def build_scalar_field(spec, dim):
-    name, pos, kw = parse_family(spec)
-    if name == "zero":
-        return fam.zero_field(dim), {"family": "zero"}
-    if name == "constant":
-        v = kw.get("value", pos[0] if pos else 0.0)
-        return fam.constant_field(dim, v), {"family": "constant", "value": v}
-    if name == "gaussian":
-        params = {
-            "amplitude": kw.get("amplitude", pos[0] if len(pos) > 0 else 1.0),
-            "center": kw.get("center", pos[1] if len(pos) > 1 else 0.0),
-            "width": kw.get("width", pos[2] if len(pos) > 2 else 1.0),
-        }
-        return fam.gaussian_bump_field(dim, **params), dict(params, family="gaussian")
-    if name == "gaussian_bump":
-        params = {
-            "amplitude": kw.get("amplitude", pos[0] if len(pos) > 0 else 1.0),
-            "center": kw.get("center", pos[1] if len(pos) > 1 else 0.0),
-            "width": kw.get("width", pos[2] if len(pos) > 2 else 1.0),
-            "ramp": kw.get("ramp", pos[3] if len(pos) > 3 else 3.0),
-        }
-        return fam.gaussian_bump_field(dim, **params), dict(params, family="gaussian_bump")
-    if name == "affine":
-        coeffs = kw.get("slope", pos[0] if pos else 1.0)
-        intercept = kw.get("intercept", pos[1] if len(pos) > 1 else 0.0)
-        return (
-            fam.affine_field(dim, coeffs, intercept),
-            {"family": "affine", "slope": coeffs, "intercept": intercept},
-        )
-    raise ConfigurationError("unknown scalar field family", family=name)
+def _parse_bool(text):
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not a boolean: {text!r}")
+    return states[text.lower()]
 
 
-def build_rate(spec):
-    name, pos, kw = parse_family(spec)
-    if name == "constant":
-        v = kw.get("value", pos[0] if pos else 0.0)
-        return fam.constant_rate(v), {"family": "constant", "value": v}
-    if name == "linear":
-        slope = kw.get("slope", pos[0] if pos else 1.0)
-        intercept = kw.get("intercept", pos[1] if len(pos) > 1 else 0.0)
-        return (
-            fam.linear_rate(slope, intercept),
-            {"family": "linear", "slope": slope, "intercept": intercept},
-        )
-    if name == "piecewise":
-        if not kw:
-            raise ConfigurationError("piecewise rate needs break=value pairs")
-        breaks = sorted(float(k) for k in kw)
-        values = [kw[k] for k in sorted(kw, key=float)]
-        return (
-            fam.piecewise_rate(breaks, values),
-            {"family": "piecewise", "breaks": breaks, "values": values},
-        )
-    raise ConfigurationError("unknown rate family", family=name)
+def _or_auto(parse):
+    return lambda text: "auto" if text == "auto" else parse(text)
 
 
-def build_sigma(spec, dim):
-    name = spec.partition(":")[0].strip()
-    if name != "constant":
-        raise ConfigurationError("only constant volatility families are built in", family=name)
-    _, _, rest = spec.partition(":")
-    matrix = _parse_matrix(rest) if rest else np.eye(dim)
+def _sigma(spec, dim):
+    name, _, rest = spec.partition(":")
+    if name.strip() != "constant":
+        raise ConfigurationError("only constant volatility families are built in", family=name.strip())
+    rows = [r for r in rest.split(";") if r.strip()]
+    matrix = np.asarray([[float(v) for v in row.split()] for row in rows]) if rest else np.eye(dim)
     if matrix.shape[0] != dim:
         raise ConfigurationError("sigma rows must match dimension", shape=matrix.shape, dim=dim)
     return fam.constant_sigma(matrix), {"family": "constant", "matrix": matrix.tolist()}
 
 
-def build_mu(spec, dim):
-    name, pos, kw = parse_family(spec)
-    if name == "zero":
-        return fam.zero_drift(dim), {"family": "zero"}
-    if name == "constant":
-        vals = pos if pos else [kw.get("value", 0.0)]
-        return fam.constant_drift(dim, vals), {"family": "constant", "values": list(vals)}
-    if name == "linear":
-        rate = kw.get("rate", pos[0] if pos else -1.0)
-        return fam.linear_drift(dim, rate), {"family": "linear", "rate": rate}
-    if name == "swirl":
-        rate = kw.get("rate", pos[0] if pos else 1.0)
-        return fam.swirl_drift(dim, rate), {"family": "swirl", "rate": rate}
-    raise ConfigurationError("unknown drift family", family=name)
+def _piecewise_rate(pos, kw, dim):
+    if not kw:
+        raise ConfigurationError("piecewise rate needs break=value pairs")
+    if pos:
+        raise ValueError("piecewise takes only break=value pairs")
+    breaks = sorted(float(k) for k in kw)
+    values = [kw[k] for k in sorted(kw, key=float)]
+    return fam.piecewise_rate(breaks, values), {"family": "piecewise", "breaks": breaks, "values": values}
 
 
-def build_ufunc(spec):
+def _constant_drift(pos, kw, dim):
+    if set(kw) - {"value"} or (pos and kw):
+        raise ValueError("constant drift takes its components or value=")
+    values = pos if pos else [kw.get("value", 0.0)]
+    return fam.constant_drift(dim, values), {"family": "constant", "values": list(values)}
+
+
+# slot -> (what the slot holds, {name: (builder, ((parameter, default), ...))}).
+# Positional values fill the parameters in order. A builder without
+# parameter pairs reads the positional and keyword values itself.
+FAMILIES = {
+    "field": ("scalar field", {
+        "zero": (fam.zero_field, ()),
+        "constant": (fam.constant_field, (("value", 0.0),)),
+        "gaussian": (fam.gaussian_bump_field, (("amplitude", 1.0), ("center", 0.0), ("width", 1.0))),
+        "gaussian_bump": (
+            fam.gaussian_bump_field,
+            (("amplitude", 1.0), ("center", 0.0), ("width", 1.0), ("ramp", 3.0)),
+        ),
+        "affine": (fam.affine_field, (("slope", 1.0), ("intercept", 0.0))),
+    }),
+    "rate": ("rate", {
+        "constant": (fam.constant_rate, (("value", 0.0),)),
+        "linear": (fam.linear_rate, (("slope", 1.0), ("intercept", 0.0))),
+        "piecewise": (_piecewise_rate, None),
+    }),
+    "drift": ("drift", {
+        "zero": (fam.zero_drift, ()),
+        "constant": (_constant_drift, None),
+        "linear": (fam.linear_drift, (("rate", -1.0),)),
+        "swirl": (fam.swirl_drift, (("rate", 1.0),)),
+    }),
+    "ufunc": ("u-function", {
+        "zero": (fam.zero_ufunc, ()),
+        "constant": (fam.constant_ufunc, (("value", 0.0),)),
+        "reciprocal": (fam.reciprocal_ufunc, (("scale", 1.0),)),
+    }),
+}
+
+
+def resolve_family(slot, spec, dim=None):
+    """``(fn, {"family": name, **params})`` for ``name:a,b,key=v`` in ``slot``.
+
+    Unset parameters take the table's defaults. Builders of the space slots
+    (``field``, ``drift``) take ``dim`` first; the others are given none.
+    """
     name, pos, kw = parse_family(spec)
-    if name == "zero":
-        return fam.zero_ufunc(), {"family": "zero"}
-    if name == "constant":
-        v = kw.get("value", pos[0] if pos else 0.0)
-        return fam.constant_ufunc(v), {"family": "constant", "value": v}
-    if name == "reciprocal":
-        s = kw.get("scale", pos[0] if pos else 1.0)
-        return fam.reciprocal_ufunc(s), {"family": "reciprocal", "scale": s}
-    raise ConfigurationError("unknown u-function family", family=name)
+    noun, table = FAMILIES[slot]
+    if name not in table:
+        raise ConfigurationError(f"unknown {noun} family", family=name)
+    builder, defaults = table[name]
+    if defaults is None:
+        return builder(pos, kw, dim)
+    names = [p for p, _ in defaults]
+    signature = f"{name}({', '.join(names)})"
+    if len(pos) > len(names):
+        raise ValueError(f"{len(pos)} values for {signature}")
+    for key in kw:
+        if key not in names[len(pos):]:
+            raise ValueError(f"{key} given twice to {signature}" if key in names else f"no {key} in {signature}")
+    params = dict(defaults)
+    params.update(zip(names, pos))
+    params.update(kw)
+    fn = builder(*(() if dim is None else (dim,)), *params.values())
+    return fn, {"family": name, **params}
+
+
+class _Reader:
+    """Reads ``[section] key`` values and records each in ``manifest``.
+
+    ``sections`` maps a section name to a mapping with ``get(key, default)``;
+    an absent section reads as an empty one.
+    """
+
+    def __init__(self, sections):
+        self.sections = sections
+        self.manifest = {}
+
+    def __call__(self, section, key, default, parse=float):
+        """The parsed text of ``[section] key``, or of ``default`` when the key
+        is absent; with ``default`` None the key is required.
+
+        A ValueError from ``parse`` becomes a ConfigurationError naming the
+        section, key and text. A family parse gives ``(fn, params)``: the
+        params are recorded and fn returned.
+        """
+        text = self.sections[section].get(key, default) if section in self.sections else default
+        if text is None:
+            raise ConfigurationError("missing configuration key", section=section, key=key)
+        try:
+            value = parse(text.strip())
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"cannot read [{section}] {key}: {exc}", section=section, key=key, text=text
+            ) from None
+        record = value
+        if isinstance(value, tuple) and callable(value[0]):
+            value, record = value
+        self.manifest.setdefault(section, {})[key] = record
+        return value
 
 
 def mc_settings(raw, dim):
@@ -178,15 +208,15 @@ def mc_settings(raw, dim):
     the defaults here are the only ones, so ``mc_settings({}, dim)`` gives
     the settings of a config without ``[mc]``.
     """
-    return {
-        "paths": int(raw.get("paths", "100000")),
-        "steps": int(raw.get("steps", "500")),
-        "seed": int(raw.get("seed", "0")),
-        "mode": raw.get("mode", "both").strip(),
-        "x0": _parse_vector(raw.get("x0", "0.0"), dim).tolist(),
-        "price_time": float(raw.get("price_time", "0.0")),
-        "chunk": int(raw.get("chunk", "50000")),
-    }
+    read = _Reader({"mc": raw})
+    read("mc", "paths", "100000", int)
+    read("mc", "steps", "500", int)
+    read("mc", "seed", "0", int)
+    read("mc", "mode", "both", str)
+    read("mc", "x0", "0.0", lambda text: _parse_vector(text, dim))
+    read("mc", "price_time", "0.0")
+    read("mc", "chunk", "50000", int)
+    return read.manifest["mc"]
 
 
 @dataclass
@@ -210,14 +240,6 @@ class ExperimentConfig:
     manifest: dict = dataclass_field(default_factory=dict)
 
 
-def _require(parser, section, key, default=None):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    if default is not None:
-        return default
-    raise ConfigurationError("missing configuration key", section=section, key=key)
-
-
 def load_config(path):
     if not os.path.exists(path):
         raise ConfigurationError("configuration file not found", path=path)
@@ -225,59 +247,34 @@ def load_config(path):
     parser.read(path)
     if not parser.has_section("model"):
         raise ConfigurationError("configuration needs a [model] section", path=path)
-
-    kind = _require(parser, "model", "kind", "mbs").strip()
-    dim = int(_require(parser, "model", "dim", "1"))
-    horizon = float(_require(parser, "model", "horizon", "1.0"))
-    sigma, sigma_meta = build_sigma(_require(parser, "model", "sigma", "constant:1"), dim)
-    mu, mu_meta = build_mu(_require(parser, "model", "mu", "zero"), dim)
-    value_interval = _parse_interval(_require(parser, "model", "value_interval", "-1.0,2.0"))
-    initial_spec = _require(parser, "model", "initial", "constant:0")
-    initial_field, initial_meta = build_scalar_field(initial_spec, dim)
-
-    manifest = {
-        "model": {
-            "kind": kind,
-            "dim": dim,
-            "horizon": horizon,
-            "sigma": sigma_meta,
-            "mu": mu_meta,
-            "value_interval": list(value_interval),
-            "initial": initial_meta,
-        }
-    }
+    read = _Reader(parser)
+    kind = read("model", "kind", "mbs", str)
+    dim = read("model", "dim", "1", int)
+    scalar_field = lambda text: resolve_family("field", text, dim)
+    ufunc = lambda text: resolve_family("ufunc", text)
+    horizon = read("model", "horizon", "1.0")
+    sigma = read("model", "sigma", "constant:1", lambda text: _sigma(text, dim))
+    mu = read("model", "mu", "zero", lambda text: resolve_family("drift", text, dim))
+    # an mbs model has no default: -1 + xi(0) = 0 puts U + h + xi at zero
+    value_interval = read("model", "value_interval", None if kind == "mbs" else "-1.0,2.0", _parse_interval)
+    initial_field = read("model", "initial", "constant:0", scalar_field)
 
     model = None
     if kind == "mbs":
-        rho = float(_require(parser, "model", "rho", "0.5"))
-        coupon = float(_require(parser, "model", "coupon_tau", "0.06"))
-        rate, rate_meta = build_rate(_require(parser, "model", "rate", "constant:0.03"))
-        principal_spec = _require(
-            parser, "model", "principal", "gaussian_bump:amplitude=1,center=0,width=1,ramp=3"
-        )
-        principal, principal_meta = build_scalar_field(principal_spec, dim)
         model = MbsModel(
-            rho=rho,
-            coupon_tau=coupon,
-            rate_r=rate,
-            principal_h=principal,
+            rho=read("model", "rho", "0.5"),
+            coupon_tau=read("model", "coupon_tau", "0.06"),
+            rate_r=read("model", "rate", "constant:0.03", lambda text: resolve_family("rate", text)),
+            principal_h=read("model", "principal", "gaussian_bump:amplitude=1,center=0,width=1,ramp=3", scalar_field),
             horizon=horizon,
             dim=dim,
         )
-        problem = mbs_price_problem(model, sigma, mu, value_interval=value_interval)
-        manifest["model"].update(
-            {
-                "rho": rho,
-                "coupon_tau": coupon,
-                "rate": rate_meta,
-                "principal": principal_meta,
-                "marched_variable": "U",
-            }
-        )
+        problem = mbs_price_problem(model, sigma, mu, value_interval)
+        read.manifest["model"]["marched_variable"] = "U"
     elif kind == "general":
-        lam, lam_meta = build_ufunc(_require(parser, "model", "lambda", "zero"))
-        eta, eta_meta = build_ufunc(_require(parser, "model", "eta", "zero"))
-        domain = _parse_interval(_require(parser, "model", "domain_interval", "-inf,inf"))
+        lam = read("model", "lambda", "zero", ufunc)
+        eta = read("model", "eta", "zero", ufunc)
+        domain = read("model", "domain_interval", "-inf,inf", _parse_interval)
         d_noise = np.asarray(sigma(0.0)).shape[1]
         # every built-in general-kind family is frozen in time, so the time
         # moduli vanish and the sup norms are directly samplable
@@ -309,27 +306,20 @@ def load_config(path):
             label="general",
         )
         problem = coeffs.as_problem()
-        manifest["model"].update(
-            {
-                "lambda": lam_meta,
-                "eta": eta_meta,
-                "domain_interval": [float(domain[0]), float(domain[1])],
-                "marched_variable": "u",
-            }
-        )
+        read.manifest["model"]["marched_variable"] = "u"
     else:
         raise ConfigurationError("unknown model kind", kind=kind)
 
-    half_width = float(_require(parser, "grid", "half_width", "8.0"))
-    nodes = int(_require(parser, "grid", "nodes", "401"))
-    theta = float(_require(parser, "grid", "theta", str(DEFAULT_THETA)))
+    half_width = read("grid", "half_width", "8.0")
+    nodes = read("grid", "nodes", "401", int)
+    theta = read("grid", "theta", str(DEFAULT_THETA))
     if not 0.0 < theta <= DEFAULT_THETA:
         raise ConfigurationError(
             "stability safety factor must lie in (0, 0.45]", theta=theta
         )
-    collar = int(_require(parser, "grid", "collar", "4"))
-    steps_raw = _require(parser, "grid", "steps", "auto")
-    if steps_raw.strip() == "auto":
+    collar = read("grid", "collar", "4", int)
+    steps = read("grid", "steps", "auto", _or_auto(int))
+    if steps == "auto":
         speed = GridSpec(dim, half_width, nodes, 1, horizon).drift_speed(problem)
         steps = stable_step_count(
             dim,
@@ -340,69 +330,43 @@ def load_config(path):
             theta=theta,
             drift_speed=speed,
         )
-    else:
-        steps = int(steps_raw)
     grid = GridSpec(dim=dim, half_width=half_width, nodes=nodes, steps=steps, horizon=horizon)
-    stability_ratio = grid.validate_stability(problem, theta=theta)
+    read.manifest["grid"].update(
+        dim=dim,
+        horizon=horizon,
+        steps=steps,
+        dt=grid.dt,
+        dx=list(grid.dx),
+        stability_ratio=grid.validate_stability(problem, theta=theta),
+        clamp_rel_tolerance=solver.CLAMP_REL_TOL,
+    )
 
     def u0(mesh):
         return initial_field(mesh, 0.0)
 
-    mc = mc_settings(parser["mc"], dim) if parser.has_section("mc") else {}
+    mc = {}
+    if parser.has_section("mc"):
+        mc = mc_settings(parser["mc"], dim)
+        read.manifest["mc"] = dict(mc, positivity_floor_rel=montecarlo.POSITIVITY_FLOOR_REL)
 
-    cap_raw = _require(parser, "diagnostics", "offset_cap", "auto")
+    cap = read("diagnostics", "offset_cap", "auto", _or_auto(float))
     diagnostics = {
-        "regularity": parser.getboolean("diagnostics", "regularity", fallback=False),
-        "offset_cap": None if cap_raw.strip() == "auto" else float(cap_raw),
+        "regularity": read("diagnostics", "regularity", "false", _parse_bool),
+        "offset_cap": None if cap == "auto" else cap,
     }
+    read.manifest["diagnostics"]["collar"] = collar
 
     tr = {}
     if parser.has_section("transform"):
-        lam_spec = _require(parser, "transform", "lambda", "reciprocal:0.5")
-        eta_spec = _require(parser, "transform", "eta", "reciprocal:-1.0")
-        lam_fn, lam_meta = build_ufunc(lam_spec)
-        eta_fn, eta_meta = build_ufunc(eta_spec)
         tr = {
-            "mode": _require(parser, "transform", "mode", "semiconvex").strip(),
-            "l": float(_require(parser, "transform", "l", "4")),
-            "tau_max": float(_require(parser, "transform", "tau_max", "5.0")),
-            "interval": _parse_interval(_require(parser, "transform", "interval", "1.0,2.0")),
-            "lambda_fn": lam_fn,
-            "eta_fn": eta_fn,
-            "lambda_meta": lam_meta,
-            "eta_meta": eta_meta,
+            "lambda_fn": read("transform", "lambda", "reciprocal:0.5", ufunc),
+            "eta_fn": read("transform", "eta", "reciprocal:-1.0", ufunc),
+            "mode": read("transform", "mode", "semiconvex", str),
+            "l": read("transform", "l", "4"),
+            "tau_max": read("transform", "tau_max", "5.0"),
+            "interval": read("transform", "interval", "1.0,2.0", _parse_interval),
         }
-
-    manifest["grid"] = {
-        "dim": dim,
-        "half_width": half_width,
-        "nodes": nodes,
-        "steps": steps,
-        "horizon": horizon,
-        "dt": grid.dt,
-        "dx": list(grid.dx),
-        "theta": theta,
-        "stability_ratio": stability_ratio,
-        "collar": collar,
-        "clamp_rel_tolerance": solver.CLAMP_REL_TOL,
-    }
-    if mc:
-        manifest["mc"] = dict(mc, positivity_floor_rel=montecarlo.POSITIVITY_FLOOR_REL)
-    if tr:
-        manifest["transform"] = {
-            "mode": tr["mode"],
-            "l": tr["l"],
-            "tau_max": tr["tau_max"],
-            "interval": list(tr["interval"]),
-            "lambda": tr["lambda_meta"],
-            "eta": tr["eta_meta"],
-            "rtol": transform.Q_RTOL,
-        }
-    manifest["diagnostics"] = {
-        "regularity": diagnostics["regularity"],
-        "offset_cap": diagnostics["offset_cap"] if diagnostics["offset_cap"] is not None else "auto",
-        "collar": collar,
-    }
+        read.manifest["transform"]["rtol"] = transform.Q_RTOL
 
     return ExperimentConfig(
         kind=kind,
@@ -419,5 +383,5 @@ def load_config(path):
         mc=mc,
         diagnostics=diagnostics,
         transform=tr,
-        manifest=manifest,
+        manifest=read.manifest,
     )

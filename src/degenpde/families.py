@@ -167,10 +167,7 @@ def affine_field(dim, coeffs, intercept=0.0):
 
 
 def zero_drift(dim):
-    fn = lambda x, t: np.zeros(x.shape)
-    fn.time_modulus = 0.0
-    fn.label = "zero"
-    return fn
+    return lambda x, t: np.zeros(x.shape)
 
 
 def constant_drift(dim, values):
@@ -179,8 +176,6 @@ def constant_drift(dim, values):
     def fn(x, t):
         return np.broadcast_to(vec, x.shape).copy()
 
-    fn.time_modulus = 0.0
-    fn.label = "constant"
     return fn
 
 
@@ -190,8 +185,6 @@ def linear_drift(dim, rate):
     def fn(x, t):
         return r * x
 
-    fn.time_modulus = 0.0
-    fn.label = "linear"
     return fn
 
 
@@ -207,8 +200,6 @@ def swirl_drift(dim, rate=1.0):
         out[..., 0] = r * x[..., 1]
         return out
 
-    fn.time_modulus = 0.0
-    fn.label = "swirl"
     return fn
 
 
@@ -218,7 +209,6 @@ def swirl_drift(dim, rate=1.0):
 def constant_rate(value):
     v = float(value)
     fn = lambda t: v + 0.0 * np.asarray(t, dtype=float)
-    fn.label = "constant"
     fn.integral = lambda t: v * np.asarray(t, dtype=float)
     return fn
 
@@ -226,7 +216,6 @@ def constant_rate(value):
 def linear_rate(slope, intercept=0.0):
     s, b = float(slope), float(intercept)
     fn = lambda t: s * np.asarray(t, dtype=float) + b
-    fn.label = "linear"
     fn.integral = lambda t: (0.5 * s * np.asarray(t, dtype=float) + b) * np.asarray(t, dtype=float)
     return fn
 
@@ -252,7 +241,6 @@ def piecewise_rate(breaks, values):
         t = np.asarray(t, dtype=float)[..., None]
         return np.sum(vs * (np.clip(t, lo, hi) - np.clip(0.0, lo, hi)), axis=-1)
 
-    fn.label = "piecewise"
     fn.integral = integral
     return fn
 
@@ -264,9 +252,7 @@ def constant_sigma(matrix):
     def fn(t):
         return m
 
-    fn.label = "constant"
     fn.matrix = m
-    fn.time_modulus = 0.0
     return fn
 
 
@@ -277,7 +263,6 @@ def constant_sigma(matrix):
 
 def zero_ufunc():
     fn = lambda u: np.zeros_like(np.asarray(u, dtype=float))
-    fn.label = "zero"
     fn.primitive = lambda u: np.zeros_like(np.asarray(u, dtype=float))
     return fn
 
@@ -285,7 +270,6 @@ def zero_ufunc():
 def constant_ufunc(value):
     v = float(value)
     fn = lambda u: np.full_like(np.asarray(u, dtype=float), v)
-    fn.label = "constant"
     fn.primitive = lambda u: v * np.asarray(u, dtype=float)
     return fn
 
@@ -294,6 +278,5 @@ def reciprocal_ufunc(scale):
     """u -> scale / u, defined for u != 0; its primitive is scale * log|u|."""
     s = float(scale)
     fn = lambda u: s / np.asarray(u, dtype=float)
-    fn.label = "reciprocal"
     fn.primitive = lambda u: s * np.log(np.abs(np.asarray(u, dtype=float)))
     return fn

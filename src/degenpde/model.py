@@ -362,7 +362,7 @@ def mbs_to_general(model, sigma, mu, value_interval=(0.25, 4.0), domain_interval
     )
 
 
-def mbs_price_problem(model, sigma, mu, value_interval=(-1.0, 2.0), norms=None):
+def mbs_price_problem(model, sigma, mu, value_interval, norms=None):
     """Pricing equation in the price variable U, in solver form.
 
     The gradient-quadratic coefficient is rho / (U + h + xi), which depends on

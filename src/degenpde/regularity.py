@@ -542,19 +542,15 @@ def _sobolev_sups(boxed_sups):
     return w1, w2
 
 
-def solution_sobolev_norms(field, collar=4, stride=1, slice_sups=None):
+def solution_sobolev_norms(field, collar=4, stride=1):
     """Measured sups of |u| + |grad u| and + |hess u| over the field.
 
-    Every ``stride``-th slice counts, over its collar box. ``slice_sups`` maps
-    a slice index to those boxed sups, as ``field_sup_norms(..., collar)``
-    returns them; the slices it holds are not differentiated again.
+    Every ``stride``-th slice counts, over its collar box.
     """
     grid = field.grid
     box = _collar_box(grid.shape, collar)
-    slice_sups = slice_sups or {}
     return _sobolev_sups(
-        slice_sups[k] if k in slice_sups else _slice_sups(field.values[k], grid.axes, [box])[0]
-        for k in range(0, grid.steps + 1, stride)
+        _slice_sups(field.values[k], grid.axes, [box])[0] for k in range(0, grid.steps + 1, stride)
     )
 
 

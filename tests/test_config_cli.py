@@ -1,3 +1,5 @@
+import configparser
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 import degenpde
 from degenpde import cli, montecarlo, regularity, solver, transform
 from degenpde.cli import main
-from degenpde.config import load_config, mc_settings, parse_family
+from degenpde.config import FAMILIES, load_config, mc_settings, parse_family
 from degenpde.errors import ConfigurationError, ContractViolationError, StabilityError
 from degenpde.reporting import (
     CSV_BLOCK_ROWS,
@@ -181,6 +183,110 @@ class TestParsing:
         assert load_config(bench_config).manifest[section][key] == getattr(owner, name)
         monkeypatch.setattr(owner, name, 0.5 * getattr(owner, name))
         assert load_config(bench_config).manifest[section][key] == getattr(owner, name)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("benchmark", None),
+        ("degenerate", None),
+        ("bench_ini", BENCH_INI),
+        ("general_ini", GENERAL_INI),
+        # keywords in another order name the same datum
+        ("general_ini", GENERAL_INI.replace("gaussian:1,0,1", "gaussian:width=1,amplitude=1")),
+    ],
+)
+def test_manifest_matches_its_golden_file(name, text, tmp_path):
+    # the files hold the manifests as the hand-written records gave them
+    path = os.path.join(REPO, "configs", name + ".ini")
+    if text is not None:
+        path = tmp_path / "config.ini"
+        path.write_text(text)
+    with open(os.path.join(REPO, "tests", "data", "manifests", name + ".json")) as fh:
+        assert dumps_json(load_config(str(path)).manifest) == fh.read()
+
+
+def _failed_solve(tmp_path, capsys, ini):
+    path = tmp_path / "bad.ini"
+    path.write_text(ini)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration_error"
+    return err["details"]
+
+
+NUMERIC_KEYS = [
+    ("model", "dim"),
+    ("model", "horizon"),
+    ("model", "rho"),
+    ("model", "coupon_tau"),
+    ("grid", "half_width"),
+    ("grid", "nodes"),
+    ("grid", "steps"),
+    ("grid", "theta"),
+    ("grid", "collar"),
+    ("mc", "paths"),
+    ("mc", "steps"),
+    ("mc", "seed"),
+    ("mc", "price_time"),
+    ("mc", "chunk"),
+    ("diagnostics", "regularity"),
+    ("diagnostics", "offset_cap"),
+    ("transform", "l"),
+    ("transform", "tau_max"),
+]
+# a family parameter, a sigma entry, an interval endpoint and an x0 entry
+EMBEDDED_NUMBERS = [
+    ("model", "rate", "constant:{}"),
+    ("model", "sigma", "constant:{}"),
+    ("model", "value_interval", "-0.5,{}"),
+    ("mc", "x0", "{}"),
+]
+
+
+@pytest.mark.parametrize("bad", ["2o1", "half", "maybe"])
+@pytest.mark.parametrize("section, key, template", [(s, k, "{}") for s, k in NUMERIC_KEYS] + EMBEDDED_NUMBERS)
+def test_malformed_value_names_its_key(section, key, template, bad, tmp_path, capsys):
+    parser = configparser.ConfigParser()
+    parser.read_string(BENCH_INI)
+    text = template.format(bad)
+    parser.set(section, key, text)
+    ini = io.StringIO()
+    parser.write(ini)
+    assert _failed_solve(tmp_path, capsys, ini.getvalue()) == {"section": section, "key": key, "text": text}
+
+
+@pytest.mark.parametrize(
+    "key, old, new",
+    [
+        ("initial", "constant:0", "gaussian:amp=2"),  # was amplitude 1
+        ("rate", "constant:0.03", "constant:0.03,0.04"),  # dropped 0.04
+        ("principal", "gaussian_bump:amplitude=1,center=0", "gaussian_bump:amplitude=1,amplitude=0"),
+    ],
+)
+def test_family_typos_are_rejected(key, old, new, tmp_path, capsys):
+    ini = BENCH_INI.replace(f"{key} = {old}", f"{key} = {new}")
+    assert ini != BENCH_INI
+    assert _failed_solve(tmp_path, capsys, ini)["key"] == key
+
+
+def test_mbs_model_requires_its_value_interval(tmp_path, capsys):
+    # a default of -1,2 would put U + h + xi at -1 + xi(0) = 0
+    ini = BENCH_INI.replace("value_interval = -0.5,1.5\n", "")
+    assert _failed_solve(tmp_path, capsys, ini) == {"section": "model", "key": "value_interval"}
+    path = tmp_path / "general.ini"
+    path.write_text(GENERAL_INI.replace("value_interval = -0.5,1.5\n", ""))
+    assert load_config(str(path)).problem.value_interval == (-1.0, 2.0)
+
+
+def test_readme_lists_every_family_with_its_parameters():
+    with open(os.path.join(REPO, "README.md")) as fh:
+        readme = fh.read()
+    for _, table in FAMILIES.values():
+        for name, (_, params) in table.items():
+            if params is not None:  # the piecewise rate and the constant drift read their own values
+                listed = ", ".join(f"`{p}` ({d:g})" for p, d in params) or "none"
+                assert f"| `{name}` | {listed}" in readme, name
 
 
 class TestReporting:

@@ -170,8 +170,9 @@ x0 = 0.0
 
         from degenpde import cli, montecarlo
 
-        # each block holds states (2) and noise (1) per path and step
-        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", rows * self.N_STEPS * 3 * 8)
+        # each block holds noise (1), states (2) and the projection's pi,
+        # drift and residual (1 each) per path and step
+        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", rows * self.N_STEPS * 6 * 8)
 
         def tilted(sig):
             decomp = kernel_basis(sig)

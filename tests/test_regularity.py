@@ -6,6 +6,7 @@ from degenpde.model import CoefficientNorms
 from degenpde import regularity
 from degenpde.regularity import (
     BoundConstants,
+    RegularityMeter,
     bound_constants,
     envelope_fit,
     field_sup_norms,
@@ -17,7 +18,7 @@ from degenpde.regularity import (
     solution_sobolev_norms,
     time_growth_constants,
 )
-from degenpde.solver import GridSpec, SolutionField, residual_field, solve
+from degenpde.solver import GridSpec, SolutionField, replay, residual_field, solve
 
 from conftest import make_general_coeffs, stability_grid
 
@@ -389,17 +390,17 @@ class TestSobolevNorms:
         assert boxed[0] < whole[0]
 
     def test_boxed_sups_reused_exactly(self, heat_setup):
-        # the whole-slice and collar-box sups of one derivative pass equal
-        # the separate passes, and solution norms built from them are the same
+        # the whole-slice sups of one derivative pass equal the separate pass,
+        # and the meter's solution norms, built from the boxed sups of that
+        # pass, equal the stored-field measure
         field = heat_setup["field"]
         axes = field.grid.axes
-        boxed = {}
         for k in range(0, field.grid.steps + 1, 50):
-            whole, boxed[k] = field_sup_norms(field.values[k], axes, collar=4)
+            whole, _ = field_sup_norms(field.values[k], axes, collar=4)
             assert whole == field_sup_norms(field.values[k], axes)
-        assert solution_sobolev_norms(field, collar=4, stride=50, slice_sups=boxed) == (
-            solution_sobolev_norms(field, collar=4, stride=50)
-        )
+        meter = RegularityMeter(field.grid, 4, None)
+        replay(field, [meter])
+        assert meter.sobolev_norms() == solution_sobolev_norms(field, 4, meter.stride)
 
 
 class TestCrossInvariants:
