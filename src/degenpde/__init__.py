@@ -44,11 +44,8 @@ from .solver import (
     GridSpec,
     ResidualReport,
     SolutionField,
-    discretize_hamiltonian,
     residual_field,
     solve,
-    stable_step_count,
-    step,
 )
 from .transform import (
     TransformPair,
@@ -77,7 +74,6 @@ __all__ = [
     "continuity_diagnostic",
     "counterexample_run",
     "discount_and_xi",
-    "discretize_hamiltonian",
     "envelope_fit",
     "girsanov_log_weight",
     "initial_deviation_check",
@@ -95,8 +91,6 @@ __all__ = [
     "simulate",
     "solve",
     "solve_Q",
-    "stable_step_count",
-    "step",
     "structural_check",
     "transformed_problem",
 ]

@@ -63,7 +63,7 @@ def _march(cfg, store, regularity):
     if regularity:
         reg = RegularityMeter(cfg.grid, cfg.collar, cfg.diagnostics.get("offset_cap"))
     meters = [res] if reg is None else [res, reg]
-    field = solve(cfg.problem, cfg.u0, cfg.grid, theta=cfg.theta, consumers=meters, store=store)
+    field = solve(cfg.problem, cfg.u0, cfg.grid, consumers=meters, store=store)
     report = res.report()
     summary = {
         "variable": field.variable,
@@ -273,10 +273,8 @@ def cmd_diagnose_degeneracy(args):
         if not np.allclose(np.asarray(cfg.sigma(t), dtype=float), sig0, atol=1e-12):
             raise ContractViolationError("degeneracy diagnostics need constant sigma")
     decomp = kernel_basis(sig0)
-    mc = cfg.mc or {}
-    n_paths = min(int(mc.get("paths", 10_000)), 50_000)
-    n_steps = int(mc.get("steps", 200))
-    seed = int(mc.get("seed", 0))
+    mc = cfg.mc or mc_settings({}, cfg.dim)
+    n_paths, n_steps, seed = mc["paths"], mc["steps"], mc["seed"]
     report = {
         "kernel": {
             "m": decomp.m,
@@ -287,8 +285,7 @@ def cmd_diagnose_degeneracy(args):
         }
     }
     if decomp.m > 0:
-        n_paths = max(n_paths, 1000)
-        x0 = np.asarray(mc.get("x0", [0.0] * cfg.dim))
+        x0 = np.asarray(mc["x0"])
         d_noise = sig0.shape[1]
         times = np.linspace(0.0, cfg.horizon, n_steps + 1)
         # simulate(seed=seed)'s draw, taken in blocks that keep only each
@@ -321,12 +318,14 @@ def cmd_diagnose_degeneracy(args):
         report["atom"] = continuity_diagnostic(
             np.concatenate(terminal),
             seed=seed,
-            conditioning=f"deterministic start x0={mc.get('x0', [0.0] * cfg.dim)}, terminal time",
+            conditioning=f"deterministic start x0={mc['x0']}, terminal time",
         )
     else:
         report["atom"] = {"heuristic": True, "m": 0, "empty": True}
     sys.stdout.write(dumps_json(report))
     if args.out:
+        # a config without [mc] records the defaults the command ran with
+        cfg.manifest.setdefault("mc", mc)
         _write_outputs(cfg, args.out, {"degeneracy.json": report})
     return 0
 

@@ -5,8 +5,9 @@ parameters, e.g. ``rate = constant:0.03`` or
 ``principal = gaussian_bump:amplitude=1,center=0,width=1,ramp=3``. Matrices
 use semicolons between rows and spaces between entries
 (``sigma = constant:0;1`` is the 2x1 column). Every key is read through one
-checked reader that records the resolved value in the manifest. The grid
-stability bound is enforced at load.
+checked reader that records the resolved value in the manifest; a section or
+key that no reader resolves stops the load. The grid stability bound is
+enforced at load.
 """
 
 import configparser
@@ -25,7 +26,7 @@ from .model import (
     MbsModel,
     mbs_price_problem,
 )
-from .solver import DEFAULT_THETA, GridSpec, stable_step_count
+from .solver import DEFAULT_THETA, GridSpec
 
 __all__ = ["FAMILIES", "ExperimentConfig", "load_config", "mc_settings", "parse_family", "resolve_family"]
 
@@ -176,6 +177,7 @@ class _Reader:
     def __init__(self, sections):
         self.sections = sections
         self.manifest = {}
+        self.resolved = set()
 
     def __call__(self, section, key, default, parse=float):
         """The parsed text of ``[section] key``, or of ``default`` when the key
@@ -185,6 +187,7 @@ class _Reader:
         section, key and text. A family parse gives ``(fn, params)``: the
         params are recorded and fn returned.
         """
+        self.resolved.add((section, key))
         text = self.sections[section].get(key, default) if section in self.sections else default
         if text is None:
             raise ConfigurationError("missing configuration key", section=section, key=key)
@@ -200,6 +203,17 @@ class _Reader:
         self.manifest.setdefault(section, {})[key] = record
         return value
 
+    def reject_unresolved(self):
+        """A ConfigurationError for the first section or key never resolved."""
+        for section, keys in self.sections.items():
+            if section == configparser.DEFAULTSECT and not keys:
+                continue
+            if not any(s == section for s, _ in self.resolved):
+                raise ConfigurationError("unknown configuration section", section=section)
+            for key in keys:
+                if (section, key) not in self.resolved:
+                    raise ConfigurationError("unknown configuration key", section=section, key=key)
+
 
 def mc_settings(raw, dim):
     """Resolve Monte Carlo settings from raw ``[mc]`` strings.
@@ -208,7 +222,10 @@ def mc_settings(raw, dim):
     the defaults here are the only ones, so ``mc_settings({}, dim)`` gives
     the settings of a config without ``[mc]``.
     """
-    read = _Reader({"mc": raw})
+    return _read_mc(_Reader({"mc": raw}), dim)
+
+
+def _read_mc(read, dim):
     read("mc", "paths", "100000", int)
     read("mc", "steps", "500", int)
     read("mc", "seed", "0", int)
@@ -229,7 +246,6 @@ class ExperimentConfig:
     problem: object
     u0: object
     grid: GridSpec
-    theta: float
     collar: int
     sigma: object
     mu: object
@@ -319,25 +335,14 @@ def load_config(path):
         )
     collar = read("grid", "collar", "4", int)
     steps = read("grid", "steps", "auto", _or_auto(int))
-    if steps == "auto":
-        speed = GridSpec(dim, half_width, nodes, 1, horizon).drift_speed(problem)
-        steps = stable_step_count(
-            dim,
-            half_width,
-            nodes,
-            horizon,
-            problem.max_diffusion_norm(horizon),
-            theta=theta,
-            drift_speed=speed,
-        )
-    grid = GridSpec(dim=dim, half_width=half_width, nodes=nodes, steps=steps, horizon=horizon)
+    grid, ratio = GridSpec.stable(problem, dim, half_width, nodes, horizon, steps, theta)
     read.manifest["grid"].update(
         dim=dim,
         horizon=horizon,
-        steps=steps,
+        steps=grid.steps,
         dt=grid.dt,
         dx=list(grid.dx),
-        stability_ratio=grid.validate_stability(problem, theta=theta),
+        stability_ratio=ratio,
         clamp_rel_tolerance=solver.CLAMP_REL_TOL,
     )
 
@@ -346,8 +351,8 @@ def load_config(path):
 
     mc = {}
     if parser.has_section("mc"):
-        mc = mc_settings(parser["mc"], dim)
-        read.manifest["mc"] = dict(mc, positivity_floor_rel=montecarlo.POSITIVITY_FLOOR_REL)
+        mc = dict(_read_mc(read, dim))
+        read.manifest["mc"]["positivity_floor_rel"] = montecarlo.POSITIVITY_FLOOR_REL
 
     cap = read("diagnostics", "offset_cap", "auto", _or_auto(float))
     diagnostics = {
@@ -367,6 +372,7 @@ def load_config(path):
             "interval": read("transform", "interval", "1.0,2.0", _parse_interval),
         }
         read.manifest["transform"]["rtol"] = transform.Q_RTOL
+    read.reject_unresolved()
 
     return ExperimentConfig(
         kind=kind,
@@ -375,7 +381,6 @@ def load_config(path):
         problem=problem,
         u0=u0,
         grid=grid,
-        theta=theta,
         collar=collar,
         sigma=sigma,
         mu=mu,

@@ -30,6 +30,7 @@ from .errors import (
     DomainViolationError,
     PositivityError,
 )
+from .families import reciprocal_ufunc
 
 __all__ = [
     "CoefficientSet",
@@ -42,9 +43,6 @@ __all__ = [
 ]
 
 
-# Times sampled on [0, T] for the stability bound: the diffusion norm here and
-# the upwind drift speed in ``solver.GridSpec``.
-STABILITY_TIME_SAMPLES = 64
 # Times sampled on [0, T) to check that sigma(t) keeps one shape and rank.
 _SIGMA_RANK_SAMPLES = 17
 # Relative residual up to which w(x, t) counts as in the range of sigma^T(t).
@@ -106,10 +104,6 @@ class ProblemSpec:
     def sigma_sq(self, t):
         s = np.asarray(self.sigma(t), dtype=float)
         return s @ s.T
-
-    def max_diffusion_norm(self, horizon):
-        ts = np.linspace(0.0, horizon, STABILITY_TIME_SAMPLES)
-        return max(float(np.linalg.norm(self.sigma_sq(t), 2)) for t in ts)
 
     def hamiltonian(self, x, t, u, p, X, drift_p=None):
         """H(x, t, u, p, X): the one place the package evaluates H.
@@ -304,11 +298,11 @@ def discount_and_xi(model):
     return xi, discount
 
 
-def mbs_to_general(model, sigma, mu, value_interval=(0.25, 4.0), domain_interval=(0.0, np.inf),
-                   noise_dim=None, norms=None):
+def mbs_to_general(model, sigma, mu, value_interval=(0.25, 4.0)):
     """Map the pricing equation to the general form for u = U + h + xi.
 
-    Produces lambda(u) = rho/u, eta(u) = -2 rho/u, w = sigma^T grad h, drift
+    Produces lambda(u) = rho/u and eta(u) = -2 rho/u as reciprocal families,
+    which carry their closed-form primitives, w = sigma^T grad h, the drift
     negated, and a source absorbing the principal terms, the xi' term, the
     discounting r(u - xi) and the completed square rho |w|^2 / u.
     """
@@ -321,7 +315,7 @@ def mbs_to_general(model, sigma, mu, value_interval=(0.25, 4.0), domain_interval
     h = model.principal_h
     rate = model.rate_r
     xi, _ = discount_and_xi(model)
-    d = noise_dim if noise_dim is not None else np.asarray(sigma(0.0)).shape[1]
+    d = np.asarray(sigma(0.0)).shape[1]
 
     def w(x, t):
         s = np.asarray(sigma(t), dtype=float)
@@ -349,20 +343,19 @@ def mbs_to_general(model, sigma, mu, value_interval=(0.25, 4.0), domain_interval
         sigma=sigma,
         mu=lambda x, t: -mu(x, t),
         w=w,
-        lambda_fn=lambda u: rho / u,
-        eta_fn=lambda u: -2.0 * rho / u,
+        lambda_fn=reciprocal_ufunc(rho),
+        eta_fn=reciprocal_ufunc(-2.0 * rho),
         f=f,
-        domain_interval=domain_interval,
+        domain_interval=(0.0, np.inf),
         value_interval=value_interval,
         dim=model.dim,
         noise_dim=d,
         horizon=model.horizon,
-        norms=norms,
         label="mbs_general",
     )
 
 
-def mbs_price_problem(model, sigma, mu, value_interval, norms=None):
+def mbs_price_problem(model, sigma, mu, value_interval):
     """Pricing equation in the price variable U, in solver form.
 
     The gradient-quadratic coefficient is rho / (U + h + xi), which depends on
@@ -406,5 +399,4 @@ def mbs_price_problem(model, sigma, mu, value_interval, norms=None):
         domain_interval=(-np.inf, np.inf),
         value_interval=value_interval,
         label="mbs_price",
-        norms=norms,
     )

@@ -15,15 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ContractViolationError, StabilityError
-from .model import STABILITY_TIME_SAMPLES
 
 __all__ = [
     "GridSpec",
     "SolutionField",
     "ResidualReport",
-    "stable_step_count",
-    "discretize_hamiltonian",
-    "step",
     "solve",
     "replay",
     "ResidualMeter",
@@ -32,6 +28,9 @@ __all__ = [
 
 DEFAULT_THETA = 0.45
 CLAMP_REL_TOL = 1e-9
+# Times sampled on [0, T] by the step bound, for the diffusion norm and the
+# upwind drift speed.
+STABILITY_TIME_SAMPLES = 64
 
 
 def _per_axis(value, dim, cast):
@@ -97,23 +96,28 @@ class GridSpec:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack(grids, axis=-1)
 
-    def stability_ratio(self, max_diffusion_norm, theta=DEFAULT_THETA, drift_speed=0.0):
-        """dt divided by the step bound of ``_step_bound``; 0 when nothing moves."""
-        bound = _step_bound(self.dim, self.dx, max_diffusion_norm, drift_speed, theta)
-        return 0.0 if bound is None else self.dt / bound
+    @classmethod
+    def stable(cls, problem, dim, half_width, nodes, horizon, steps="auto", theta=DEFAULT_THETA):
+        """(grid, stability ratio) for ``problem``, checked against ``_step_bound``.
 
-    def drift_speed(self, problem):
-        """Upwind speed max sum_i |mu_i| / dx_i over interior nodes and sampled times."""
-        x_int = self.mesh(interior=True)
-        inv_dx = 1.0 / np.asarray(self.dx)
-        return max(
-            float(np.max(np.abs(np.asarray(problem.drift(x_int, t), dtype=float)) @ inv_dx))
-            for t in np.linspace(0.0, self.horizon, STABILITY_TIME_SAMPLES)
-        )
+        ``steps = "auto"`` takes the smallest step count within the bound. With
+        neither diffusion nor drift no spatial bound applies, and the step
+        falls back to theta * dx as a resolution choice.
+        """
+        probe = cls(dim, half_width, nodes, 1, horizon)
+        bound = _step_bound(problem, probe, theta)
+        if steps == "auto":
+            dt = bound if bound is not None else theta * min(probe.dx)
+            steps = max(1, int(np.ceil(probe.horizon / dt)))
+        grid = cls(dim, half_width, nodes, steps, horizon)
+        return grid, grid._checked_ratio(bound, theta)
 
     def validate_stability(self, problem, theta=DEFAULT_THETA):
-        norm = problem.max_diffusion_norm(self.horizon)
-        ratio = self.stability_ratio(norm, theta, self.drift_speed(problem))
+        """dt over the step bound of ``_step_bound`` (0 when nothing moves); above 1 it raises."""
+        return self._checked_ratio(_step_bound(problem, self, theta), theta)
+
+    def _checked_ratio(self, bound, theta):
+        ratio = 0.0 if bound is None else self.dt / bound
         if ratio > 1.0 + 1e-12:
             raise StabilityError(
                 "time step violates the parabolic and upwind stability bound",
@@ -125,33 +129,25 @@ class GridSpec:
         return ratio
 
 
-def _step_bound(dim, dx, max_diffusion_norm, drift_speed, theta):
-    """Stable dt: theta dx^2 / (N max|sigma sigma^T| + dx^2 sum_i |mu_i| / dx_i).
+def _step_bound(problem, grid, theta):
+    """Stable dt: theta dx^2 / (N max|sigma sigma^T| + dx^2 max sum_i |mu_i| / dx_i).
 
-    This keeps dt (N max|sigma sigma^T| / dx^2 + sum_i |mu_i| / dx_i) <= theta,
+    This keeps dt (N max|sigma sigma^T| / dx^2 + max sum_i |mu_i| / dx_i) <= theta,
     the diffusion and upwind-drift weights of the explicit stencil, with dx
-    the smallest spacing. None when there is neither diffusion nor drift.
+    the smallest spacing. Both maxima are taken in one walk over
+    ``STABILITY_TIME_SAMPLES`` times of [0, T], the drift's over the interior
+    nodes. None when there is neither diffusion nor drift.
     """
-    dx_min = min(dx)
-    rate = dim * max_diffusion_norm + drift_speed * dx_min**2
+    x_int = grid.mesh(interior=True)
+    inv_dx = 1.0 / np.asarray(grid.dx)
+    norm = speed = 0.0
+    for t in np.linspace(0.0, grid.horizon, STABILITY_TIME_SAMPLES):
+        norm = max(norm, float(np.linalg.norm(problem.sigma_sq(t), 2)))
+        drift = np.abs(np.asarray(problem.drift(x_int, t), dtype=float))
+        speed = max(speed, float(np.max(drift @ inv_dx)))
+    dx_min = min(grid.dx)
+    rate = grid.dim * norm + speed * dx_min**2
     return theta * dx_min**2 / rate if rate > 0.0 else None
-
-
-def stable_step_count(
-    dim, half_width, nodes, horizon, max_diffusion_norm, theta=DEFAULT_THETA, drift_speed=0.0
-):
-    """Smallest step count satisfying the bound of ``_step_bound``.
-
-    With neither diffusion nor drift no spatial bound applies, and the step
-    falls back to theta * dx as a resolution choice.
-    """
-    hw = _per_axis(half_width, dim, float)
-    nd = _per_axis(nodes, dim, int)
-    dx = [2.0 * r / (n - 1) for r, n in zip(hw, nd)]
-    bound = _step_bound(dim, dx, max_diffusion_norm, drift_speed, theta)
-    if bound is None:
-        bound = theta * min(dx)
-    return max(1, int(np.ceil(horizon / bound)))
 
 
 class SolutionField:
@@ -238,18 +234,6 @@ def _interior_hamiltonian(problem, grid, x_int, u, t):
     return problem.hamiltonian(x_int, t, center, p, X, drift_p=upwind)
 
 
-def discretize_hamiltonian(field, k, i):
-    """Discrete H at time index k and interior spatial multi-index i."""
-    idx = (i,) if np.isscalar(i) else tuple(int(v) for v in i)
-    if len(idx) != field.grid.dim:
-        raise ContractViolationError("index does not match grid dimension", index=idx)
-    for v, nn in zip(idx, field.grid.shape):
-        if not 1 <= v <= nn - 2:
-            raise ContractViolationError("Hamiltonian stencil needs an interior node", index=idx)
-    h_int = field.interior_hamiltonian(k)
-    return float(h_int[tuple(v - 1 for v in idx)])
-
-
 def _fill_boundary(values, dim):
     for axis in range(dim):
         sl = [slice(None)] * dim
@@ -295,25 +279,20 @@ def _advance(problem, grid, u, h_int, k):
     return new, clamped, max(worst, 0.0)
 
 
-def step(field, k):
-    """One forward-Euler step from slice k of a stored field; returns
-    (values, clamped_nodes, max_excess)."""
-    return _advance(field.problem, field.grid, field.values[k], field.interior_hamiltonian(k), k)
-
-
-def solve(problem, u0, grid, theta=DEFAULT_THETA, consumers=(), store=True):
+def solve(problem, u0, grid, consumers=(), store=True):
     """March the space-time field from the initial datum, one slice at a time.
 
     u0 may be an array on the grid or a callable of the mesh (shape
-    (..., N) -> (...)). The stability bound is enforced up front; the clamp
-    report tracks roundoff-size excursions outside the value interval.
+    (..., N) -> (...)). The stability bound is enforced up front at the hard
+    limit ``DEFAULT_THETA``; a config's own theta is enforced at load. The
+    clamp report tracks roundoff-size excursions outside the value interval.
 
     Each consumer's ``take(k, u, h)`` sees slices k = 0..M in order, with h
     the interior H that slice k was stepped with (None for the last slice);
     consumers must not write to either array. Without ``store`` the returned
     field holds no values, and the march keeps a few slices at a time.
     """
-    grid.validate_stability(problem, theta=theta)
+    grid.validate_stability(problem)
     variable = "U" if problem.label == "mbs_price" else "u"
     if store:
         field = SolutionField.allocate(grid, problem=problem, variable=variable)

@@ -9,7 +9,7 @@ from degenpde.families import (
     zero_ufunc,
 )
 from degenpde.model import CoefficientSet, MbsModel, mbs_price_problem
-from degenpde.solver import GridSpec, solve, stable_step_count
+from degenpde.solver import GridSpec, solve
 
 
 def make_general_coeffs(
@@ -48,10 +48,7 @@ def heat_exact(x, t, width=1.0, amplitude=1.0, center=0.0):
 
 
 def stability_grid(dim, half_width, nodes, horizon, problem, theta=0.45):
-    steps = stable_step_count(
-        dim, half_width, nodes, horizon, problem.max_diffusion_norm(horizon), theta=theta
-    )
-    return GridSpec(dim, half_width, nodes, steps, horizon)
+    return GridSpec.stable(problem, dim, half_width, nodes, horizon, theta=theta)[0]
 
 
 def make_benchmark_model(rate=0.03, coupon=0.06, rho=0.5, ramp=3.0, width=1.0, amplitude=1.0):

@@ -87,6 +87,27 @@ steps = auto
 """
 
 
+# 2-D, noise along x2 only: the kernel of sigma^T is x1, so the degeneracy
+# diagnostics simulate paths
+DEGENERATE_INI = """
+[model]
+kind = general
+dim = 2
+horizon = 1.0
+sigma = constant:0;1
+mu = zero
+lambda = zero
+eta = zero
+value_interval = -0.5,1.5
+initial = constant:0
+
+[grid]
+half_width = 6.0
+nodes = 41
+steps = auto
+"""
+
+
 @pytest.fixture()
 def bench_config(tmp_path):
     path = tmp_path / "bench.ini"
@@ -165,8 +186,9 @@ class TestParsing:
         missing.write_text(head)
         empty.write_text(head + "[grid]\n")
         a, b = load_config(str(missing)), load_config(str(empty))
-        assert (a.grid, a.theta, a.collar) == (b.grid, b.theta, b.collar)  # the grid holds steps
-        assert (a.grid.half_width, a.grid.nodes, a.theta, a.collar) == ((8.0,), (401,), DEFAULT_THETA, 4)
+        theta = lambda cfg: cfg.manifest["grid"]["theta"]
+        assert (a.grid, theta(a), a.collar) == (b.grid, theta(b), b.collar)  # the grid holds steps
+        assert (a.grid.half_width, a.grid.nodes, theta(a), a.collar) == ((8.0,), (401,), DEFAULT_THETA, 4)
         assert a.diagnostics == b.diagnostics == {"regularity": False, "offset_cap": None}
 
     @pytest.mark.parametrize(
@@ -277,6 +299,37 @@ def test_mbs_model_requires_its_value_interval(tmp_path, capsys):
     path = tmp_path / "general.ini"
     path.write_text(GENERAL_INI.replace("value_interval = -0.5,1.5\n", ""))
     assert load_config(str(path)).problem.value_interval == (-1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "ini, details",
+    [
+        (BENCH_INI.replace("nodes = 101", "node = 101"), {"section": "grid", "key": "node"}),
+        (BENCH_INI.replace("mu = zero\n", "mu = zero\nlambda = zero\n"), {"section": "model", "key": "lambda"}),
+        (GENERAL_INI.replace("mu = zero\n", "mu = zero\nrho = 0.5\n"), {"section": "model", "key": "rho"}),
+        (BENCH_INI.replace("paths = 4000", "path = 4000"), {"section": "mc", "key": "path"}),
+        (BENCH_INI + "\n[grdi]\nnodes = 41\n", {"section": "grdi"}),
+        ("[DEFAULT]\ncollar = 3\n" + BENCH_INI, {"section": "DEFAULT"}),
+    ],
+    ids=["grid_typo", "mbs_lambda", "general_rho", "mc_typo", "section_typo", "default_section"],
+)
+def test_unknown_key_or_section_is_rejected(ini, details, tmp_path, capsys):
+    assert _failed_solve(tmp_path, capsys, ini) == details
+
+
+# The golden-manifest configs load in test_manifest_matches_its_golden_file.
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(REPO, "configs"))))
+def test_shipped_configs_resolve_every_key(name):
+    load_config(os.path.join(REPO, "configs", name))
+
+
+@pytest.mark.parametrize("workload", ["duality_1d", "reprice_1d", "measure_2d"])
+def test_benchmark_workload_configs_resolve_every_key(workload, tmp_path, monkeypatch):
+    # each config as the benchmark's workload class writes it
+    monkeypatch.syspath_prepend(os.path.join(REPO, "bench"))
+    import workloads
+
+    load_config(workloads.WORKLOADS[workload](str(tmp_path), 0).config)
 
 
 def test_readme_lists_every_family_with_its_parameters():
@@ -415,35 +468,33 @@ class TestCli:
         assert abs(payload["estimate"] - 0.5) <= 4.0 * payload["se"]
 
     def test_diagnose_degeneracy_command(self, tmp_path, capsys):
-        ini = """
-[model]
-kind = general
-dim = 2
-horizon = 1.0
-sigma = constant:0;1
-mu = zero
-lambda = zero
-eta = zero
-value_interval = -0.5,1.5
-initial = constant:0
-
-[grid]
-half_width = 6.0
-nodes = 41
-steps = auto
-
-[mc]
-paths = 2000
-steps = 100
-seed = 3
-x0 = 0.0
-"""
         path = tmp_path / "deg.ini"
-        path.write_text(ini)
+        path.write_text(DEGENERATE_INI + "\n[mc]\npaths = 2000\nsteps = 100\nseed = 3\nx0 = 0.0\n")
         assert main(["diagnose-degeneracy", "--config", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kernel"]["m"] == 1
         assert payload["atom"]["verdict"] == "atomic"
+
+    def test_diagnose_degeneracy_without_mc_records_the_shared_defaults(self, tmp_path, capsys):
+        path, out = tmp_path / "deg.ini", tmp_path / "deg"
+        path.write_text(DEGENERATE_INI)
+        assert main(["diagnose-degeneracy", "--config", str(path), "--out", str(out)]) == 0
+        projection = json.loads(capsys.readouterr().out)["projection"]
+        mc = json.loads((out / "manifest.json").read_text())["mc"]
+        assert mc == json.loads(dumps_json(mc_settings({}, 2)))
+        assert (mc["paths"], mc["steps"], mc["seed"]) == (
+            projection["n_paths"],
+            projection["n_steps"],
+            projection["seed"],
+        )
+
+    def test_diagnose_degeneracy_below_a_thousand_paths_names_the_floor(self, tmp_path, capsys):
+        path = tmp_path / "deg.ini"
+        path.write_text(DEGENERATE_INI + "\n[mc]\npaths = 999\nsteps = 20\n")
+        assert main(["diagnose-degeneracy", "--config", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "contract_violation"
+        assert err["details"] == {"n": 999}
 
     def test_diagnose_regularity_command(self, general_config, tmp_path, capsys):
         out = str(tmp_path / "reg")

@@ -22,6 +22,7 @@ from degenpde.model import (
     mbs_price_problem,
     mbs_to_general,
 )
+from degenpde.transform import primitive_lambda
 
 from conftest import make_general_coeffs, make_benchmark_model
 
@@ -128,6 +129,19 @@ class TestMbsToGeneral:
         np.testing.assert_allclose(coeffs.f(x, 0.3, u), 0.0, atol=1e-14)
         np.testing.assert_allclose(coeffs.lambda_fn(u), 0.7 / u)
         np.testing.assert_allclose(coeffs.eta_fn(u), -1.4 / u)
+
+    def test_lambda_and_eta_carry_closed_form_primitives(self):
+        model = make_benchmark_model()
+        rho = model.rho
+        coeffs = mbs_to_general(model, constant_sigma([[1.0]]), zero_drift(1), value_interval=(0.5, 4.0))
+        u = np.linspace(0.5, 4.0, 257)
+        assert np.array_equal(coeffs.lambda_fn(u), rho / u)
+        assert np.array_equal(coeffs.eta_fn(u), -2.0 * rho / u)
+        # with c = 1 the closed form s log|u| needs no shift, so it holds bit
+        # for bit; the sampled primitive would be a cubic Hermite interpolant
+        inside = u[(u >= 1.0) & (u <= 2.0)]
+        for fn, scale in ((coeffs.lambda_fn, rho), (coeffs.eta_fn, -2.0 * rho)):
+            assert np.array_equal(primitive_lambda(fn, 1.0, 2.0)(inside), scale * np.log(inside))
 
     def test_rate_equal_coupon_keeps_zero_price_solution(self):
         # With r == tau, U == 0 solves the pricing equation: the mapped source

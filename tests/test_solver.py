@@ -5,16 +5,14 @@ import pytest
 
 from degenpde.errors import BlowUpError, ContractViolationError, StabilityError
 from degenpde.families import constant_drift
+from degenpde import solver
 from degenpde.solver import (
     GridSpec,
     ResidualMeter,
     SolutionField,
-    discretize_hamiltonian,
     replay,
     residual_field,
     solve,
-    stable_step_count,
-    step,
 )
 
 from conftest import heat_exact, make_general_coeffs, stability_grid
@@ -29,18 +27,20 @@ def place_slice(problem, grid, fn):
 
 
 class TestDiscretizeHamiltonian:
+    # interior_hamiltonian(k)[i - 1] is H at grid node i: its array starts
+    # at the first interior node
     def test_constant_field_reduces_to_source(self):
         coeffs = make_general_coeffs(f=lambda x, t, u: 3.0 * np.ones_like(u))
         grid = GridSpec(1, 4.0, 41, 10, 1.0)
         field = place_slice(coeffs.as_problem(), grid, lambda x: 0.7 * np.ones_like(x))
-        assert discretize_hamiltonian(field, 0, 20) == pytest.approx(3.0, abs=1e-14)
+        assert field.interior_hamiltonian(0)[19] == pytest.approx(3.0, abs=1e-14)
 
     def test_linear_field_advection_is_exact(self):
         coeffs = make_general_coeffs(mu=constant_drift(1, 2.0), value_interval=(-5.0, 5.0))
         grid = GridSpec(1, 4.0, 41, 10, 1.0)
         field = place_slice(coeffs.as_problem(), grid, lambda x: x)
         # grad u = 1 exactly for linear data, trace term vanishes
-        assert discretize_hamiltonian(field, 0, 20) == pytest.approx(2.0, abs=1e-13)
+        assert field.interior_hamiltonian(0)[19] == pytest.approx(2.0, abs=1e-13)
 
     def test_quadratic_field_central_differences_exact(self):
         coeffs = make_general_coeffs(
@@ -51,16 +51,7 @@ class TestDiscretizeHamiltonian:
         # at x = 0.5: -1/2 * 2 + (-1) * (2x)^2 = -1 - 1 = -2
         i = int(np.argmin(np.abs(grid.axes[0] - 0.5)))
         assert grid.axes[0][i] == pytest.approx(0.5)
-        assert discretize_hamiltonian(field, 0, i) == pytest.approx(-2.0, abs=1e-12)
-
-    def test_boundary_index_rejected(self):
-        coeffs = make_general_coeffs()
-        grid = GridSpec(1, 4.0, 41, 10, 1.0)
-        field = place_slice(coeffs.as_problem(), grid, lambda x: np.zeros_like(x))
-        with pytest.raises(ContractViolationError):
-            discretize_hamiltonian(field, 0, 0)
-        with pytest.raises(ContractViolationError):
-            discretize_hamiltonian(field, 0, 40)
+        assert field.interior_hamiltonian(0)[i - 1] == pytest.approx(-2.0, abs=1e-12)
 
 
 class TestStep:
@@ -71,7 +62,7 @@ class TestStep:
         field = SolutionField.allocate(grid, problem=problem)
         x = grid.axes[0]
         field.values[0] = np.exp(-(x**2) / 2.0)
-        new, clamped, _ = step(field, 0)
+        new, clamped, _ = solver._advance(problem, grid, field.values[0], field.interior_hamiltonian(0), 0)
         u = field.values[0]
         lap = np.zeros_like(u)
         lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / grid.dx[0] ** 2
@@ -87,7 +78,7 @@ class TestStep:
         grid = GridSpec(1, 4.0, 41, 100, 1.0)
         field = SolutionField.allocate(grid, problem=problem)
         field.values[0] = np.ones(41)
-        new, _, _ = step(field, 0)
+        new, _, _ = solver._advance(problem, grid, field.values[0], field.interior_hamiltonian(0), 0)
         np.testing.assert_allclose(new, 1.0 - grid.dt, atol=1e-15)
 
     def test_blow_up_reports_node_and_step(self):
@@ -101,7 +92,7 @@ class TestStep:
         field = SolutionField.allocate(grid, problem=problem)
         field.values[0] = np.zeros(41)
         with pytest.raises(BlowUpError) as err:
-            step(field, 0)
+            solver._advance(problem, grid, field.values[0], field.interior_hamiltonian(0), 0)
         assert err.value.details["step"] == 1
 
 
@@ -173,12 +164,13 @@ class TestSolve:
         with pytest.raises(StabilityError):
             solve(problem, lambda mesh: np.zeros(mesh.shape[:-1]), grid)
 
-    def test_stable_step_count_satisfies_bound(self):
-        steps = stable_step_count(1, 8.0, 401, 1.0, 1.0, theta=0.45)
-        grid = GridSpec(1, 8.0, 401, steps, 1.0)
-        assert grid.stability_ratio(1.0, theta=0.45) <= 1.0 + 1e-12
-        tight = GridSpec(1, 8.0, 401, steps - 1, 1.0)
-        assert tight.stability_ratio(1.0, theta=0.45) > 1.0
+    def test_stable_grid_satisfies_bound(self):
+        problem = make_general_coeffs().as_problem()
+        grid, ratio = GridSpec.stable(problem, 1, 8.0, 401, 1.0, theta=0.45)
+        assert ratio == grid.validate_stability(problem, theta=0.45) <= 1.0 + 1e-12
+        tight = GridSpec(1, 8.0, 401, grid.steps - 1, 1.0)
+        with pytest.raises(StabilityError):
+            tight.validate_stability(problem, theta=0.45)
 
 
 class TestResiduals:
@@ -255,7 +247,7 @@ class TestStencilDetails:
         for k in range(grid.steps + 1):
             field.values[k] = mesh[..., 0] * mesh[..., 1]
         a_offdiag = (sig @ sig.T)[0, 1]
-        got = discretize_hamiltonian(field, 0, (20, 20))
+        got = field.interior_hamiltonian(0)[19, 19]
         assert got == pytest.approx(-a_offdiag, abs=1e-12)
 
     @pytest.mark.parametrize("drift,expected", [(2.0, 1.8), (-2.0, -2.2)])
@@ -272,7 +264,7 @@ class TestStencilDetails:
         field = SolutionField.allocate(grid, problem=problem)
         field.values[0] = grid.mesh()[..., 0] ** 2
         i = int(np.argmin(np.abs(grid.axes[0] - 0.5)))
-        assert discretize_hamiltonian(field, 0, i) == pytest.approx(expected, abs=1e-12)
+        assert field.interior_hamiltonian(0)[i - 1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_grid_dimension_capped_at_three():
@@ -312,10 +304,12 @@ class TestAutoSteps:
         path = tmp_path / "drift.ini"
         path.write_text(DRIFT_INI)
         cfg = load_config(str(path))
-        speed = cfg.grid.drift_speed(cfg.problem)
-        assert speed == pytest.approx(3.0 * 7.96 / cfg.grid.dx[0])
-        assert cfg.grid.steps > stable_step_count(1, 8.0, 401, 1.0, 0.01, theta=cfg.theta)
-        field = solve(cfg.problem, cfg.u0, cfg.grid, theta=cfg.theta)
+        theta, dx = cfg.manifest["grid"]["theta"], cfg.grid.dx[0]
+        # sigma sigma^T = 0.01 and the upwind speed max |mu| / dx = 3 * 7.96 / dx
+        speed = 3.0 * 7.96 / dx
+        assert cfg.grid.steps > np.ceil(1.0 / (theta * dx**2 / 0.01))
+        assert cfg.grid.steps == np.ceil(1.0 / (theta * dx**2 / (0.01 + dx**2 * speed)))
+        field = solve(cfg.problem, cfg.u0, cfg.grid)
         assert np.all(np.isfinite(field.values))
 
     def test_validation_rejects_steps_too_coarse_for_drift(self):
@@ -324,9 +318,10 @@ class TestAutoSteps:
         )
         problem = coeffs.as_problem()
         dx = 8.0 / 40
-        steps = stable_step_count(1, 4.0, 41, 1.0, 0.0, drift_speed=2.0 / dx)
+        grid, ratio = GridSpec.stable(problem, 1, 4.0, 41, 1.0)
+        steps = grid.steps
         assert steps == int(np.ceil(1.0 / (0.45 * dx / 2.0)))
-        assert GridSpec(1, 4.0, 41, steps, 1.0).validate_stability(problem) <= 1.0
+        assert ratio == GridSpec(1, 4.0, 41, steps, 1.0).validate_stability(problem) <= 1.0
         with pytest.raises(StabilityError):
             GridSpec(1, 4.0, 41, steps - 1, 1.0).validate_stability(problem)
 
@@ -336,3 +331,27 @@ class TestAutoSteps:
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
         assert load_config(os.path.join(root, "benchmark.ini")).grid.steps == 1389
         assert load_config(os.path.join(root, "degenerate.ini")).grid.steps == 112
+
+    def test_bound_walks_its_times_once_per_call_site(self, tmp_path, monkeypatch):
+        # a walk of the step bound takes sigma sigma^T at every sampled time,
+        # T included; the march takes it only at the times it steps from
+        from degenpde.config import load_config
+        from degenpde.model import ProblemSpec
+
+        path = tmp_path / "drift.ini"
+        path.write_text(DRIFT_INI)
+        times = []
+        sigma_sq = ProblemSpec.sigma_sq
+
+        def recorded(problem, t):
+            times.append(float(t))
+            return sigma_sq(problem, t)
+
+        monkeypatch.setattr(ProblemSpec, "sigma_sq", recorded)
+        cfg = load_config(str(path))
+        assert len(times) == solver.STABILITY_TIME_SAMPLES
+        assert times.count(cfg.horizon) == 1
+        times.clear()
+        solve(cfg.problem, cfg.u0, cfg.grid, store=False)
+        assert len(times) == solver.STABILITY_TIME_SAMPLES + cfg.grid.steps
+        assert times.count(cfg.horizon) == 1
