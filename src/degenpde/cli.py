@@ -221,10 +221,10 @@ def cmd_price(args):
         raise ConfigurationError("price needs an mbs model configuration")
     field = _load_field_arg(args.field)
     mc = dict(cfg.mc or mc_settings({}, cfg.dim))
-    mc["paths"] = args.paths or mc["paths"]
-    mc["steps"] = args.steps or mc["steps"]
-    if args.seed is not None:
-        mc["seed"] = args.seed
+    # the flags given pass the [mc] reader's checks
+    flags = {key: str(getattr(args, key)) for key in ("paths", "steps", "seed") if getattr(args, key) is not None}
+    checked = mc_settings(flags, cfg.dim)
+    mc.update((key, checked[key]) for key in flags)
     mode = args.mode or mc["mode"]
     mc["mode"] = "q" if mode == "both" else mode
     payload = _price(cfg, field, mc)
@@ -330,25 +330,25 @@ def cmd_diagnose_degeneracy(args):
     return 0
 
 
+def _transform_pair(tr):
+    """The pair Q, P that ``transform-check`` certifies for the resolved
+    ``[transform]`` section: Q starts at the interval's left end and covers
+    its right end plus a 5 % margin."""
+    lo, hi = tr["interval"]
+    margin = 0.05 * (hi - lo)
+    prim = primitive_lambda(tr["lambda_fn"], lo, u_hi=hi + 4.0 * margin + 1.0)
+    pair = solve_Q(prim, lo, tr["mode"], tau_max=tr["tau_max"], q_target=hi + margin, l_exp=tr["l"])
+    invert(pair)
+    return pair
+
+
 def cmd_transform_check(args):
     cfg = load_config(args.config)
     tr = cfg.transform
     if not tr:
         raise ConfigurationError("transform-check needs a [transform] section")
-    lo, hi = tr["interval"]
-    c = lo
-    margin = 0.05 * (hi - lo)
-    prim = primitive_lambda(tr["lambda_fn"], c, u_hi=hi + 4.0 * margin + 1.0)
-    pair = solve_Q(
-        prim,
-        c,
-        tr["mode"],
-        tau_max=tr["tau_max"],
-        q_target=hi + margin,
-        l_exp=tr["l"],
-    )
-    invert(pair)
-    report = structural_check(pair, tr["eta_fn"], (lo, hi))
+    pair = _transform_pair(tr)
+    report = structural_check(pair, tr["eta_fn"], tr["interval"])
     report["round_trip_error"] = pair.round_trip_error()
     report["min_slope"] = pair.min_slope()
     report["q_knots"] = len(pair.tau_knots)

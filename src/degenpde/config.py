@@ -25,6 +25,7 @@ from .model import (
     CoefficientSet,
     MbsModel,
     mbs_price_problem,
+    mbs_to_general,
 )
 from .solver import DEFAULT_THETA, GridSpec
 
@@ -73,6 +74,16 @@ def _parse_bool(text):
     if text.lower() not in states:
         raise ValueError(f"not a boolean: {text!r}")
     return states[text.lower()]
+
+
+def _at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(f"{value} is below {low}")
+        return value
+
+    return parse
 
 
 def _or_auto(parse):
@@ -226,13 +237,14 @@ def mc_settings(raw, dim):
 
 
 def _read_mc(read, dim):
-    read("mc", "paths", "100000", int)
-    read("mc", "steps", "500", int)
+    # two paths give a standard error, one step a path
+    read("mc", "paths", "100000", _at_least(2))
+    read("mc", "steps", "500", _at_least(1))
     read("mc", "seed", "0", int)
     read("mc", "mode", "both", str)
     read("mc", "x0", "0.0", lambda text: _parse_vector(text, dim))
     read("mc", "price_time", "0.0")
-    read("mc", "chunk", "50000", int)
+    read("mc", "chunk", "50000", _at_least(1))
     return read.manifest["mc"]
 
 
@@ -364,13 +376,19 @@ def load_config(path):
     tr = {}
     if parser.has_section("transform"):
         tr = {
-            "lambda_fn": read("transform", "lambda", "reciprocal:0.5", ufunc),
-            "eta_fn": read("transform", "eta", "reciprocal:-1.0", ufunc),
             "mode": read("transform", "mode", "semiconvex", str),
             "l": read("transform", "l", "4"),
             "tau_max": read("transform", "tau_max", "5.0"),
             "interval": read("transform", "interval", "1.0,2.0", _parse_interval),
         }
+        if model is None:
+            tr["lambda_fn"] = read("transform", "lambda", "reciprocal:0.5", ufunc)
+            tr["eta_fn"] = read("transform", "eta", "reciprocal:-1.0", ufunc)
+        else:
+            # the reduction u = U + h + xi states lambda and eta from rho
+            reduced = mbs_to_general(model, sigma, mu, tr["interval"])
+            tr["lambda_fn"], tr["eta_fn"] = reduced.lambda_fn, reduced.eta_fn
+            read.manifest["transform"].update({"lambda": reduced.lambda_fn.spec, "eta": reduced.eta_fn.spec})
         read.manifest["transform"]["rtol"] = transform.Q_RTOL
     read.reject_unresolved()
 

@@ -275,8 +275,12 @@ def constant_ufunc(value):
 
 
 def reciprocal_ufunc(scale):
-    """u -> scale / u, defined for u != 0; its primitive is scale * log|u|."""
+    """u -> scale / u, defined for u != 0; its primitive is scale * log|u|.
+
+    ``spec`` is the family record a config reading ``reciprocal:scale`` gives.
+    """
     s = float(scale)
     fn = lambda u: s / np.asarray(u, dtype=float)
     fn.primitive = lambda u: s * np.log(np.abs(np.asarray(u, dtype=float)))
+    fn.spec = {"family": "reciprocal", "scale": s}
     return fn

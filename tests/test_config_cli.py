@@ -62,8 +62,6 @@ regularity = true
 [transform]
 mode = semiconvex
 l = 4
-lambda = reciprocal:0.5
-eta = reciprocal:-1.0
 interval = 1.0,2.0
 tau_max = 5.0
 """
@@ -310,11 +308,77 @@ def test_mbs_model_requires_its_value_interval(tmp_path, capsys):
         (BENCH_INI.replace("paths = 4000", "path = 4000"), {"section": "mc", "key": "path"}),
         (BENCH_INI + "\n[grdi]\nnodes = 41\n", {"section": "grdi"}),
         ("[DEFAULT]\ncollar = 3\n" + BENCH_INI, {"section": "DEFAULT"}),
+        # an mbs model states its transform coefficients through rho
+        (BENCH_INI.replace("l = 4\n", "l = 4\nlambda = reciprocal:0.5\n"), {"section": "transform", "key": "lambda"}),
+        (BENCH_INI.replace("l = 4\n", "l = 4\neta = reciprocal:-1.0\n"), {"section": "transform", "key": "eta"}),
     ],
-    ids=["grid_typo", "mbs_lambda", "general_rho", "mc_typo", "section_typo", "default_section"],
+    ids=[
+        "grid_typo",
+        "mbs_lambda",
+        "general_rho",
+        "mc_typo",
+        "section_typo",
+        "default_section",
+        "mbs_transform_lambda",
+        "mbs_transform_eta",
+    ],
 )
 def test_unknown_key_or_section_is_rejected(ini, details, tmp_path, capsys):
     assert _failed_solve(tmp_path, capsys, ini) == details
+
+
+# GENERAL_INI with the transform section of BENCH_INI and the coefficients
+# the reduction of BENCH_INI's model gives at rho = 0.5
+GENERAL_TRANSFORM_INI = GENERAL_INI + BENCH_INI[BENCH_INI.index("\n[transform]") :].replace(
+    "l = 4\n", "l = 4\nlambda = reciprocal:0.5\neta = reciprocal:-1.0\n"
+)
+
+
+def test_mbs_transform_check_certifies_the_reduction(tmp_path, capsys):
+    outputs = []
+    for name, text in (("benchmark", None), ("general", GENERAL_TRANSFORM_INI)):
+        path = os.path.join(REPO, "configs", "benchmark.ini")
+        if text is not None:
+            path = tmp_path / "general.ini"
+            path.write_text(text)
+        out = tmp_path / name
+        assert main(["transform-check", "--config", str(path), "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("transform.json", "transform_tabulation.csv")])
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
+def test_mbs_transform_coefficients_follow_rho(tmp_path):
+    path = tmp_path / "rho.ini"
+    path.write_text(BENCH_INI.replace("rho = 0.5", "rho = 0.3"))
+    cfg = load_config(str(path))
+    assert cfg.manifest["transform"]["lambda"] == {"family": "reciprocal", "scale": 0.3}
+    assert cfg.manifest["transform"]["eta"] == {"family": "reciprocal", "scale": -0.6}
+    u = np.linspace(1.0, 2.0, 5)
+    np.testing.assert_array_equal(cfg.transform["lambda_fn"](u), 0.3 / u)
+    np.testing.assert_array_equal(cfg.transform["eta_fn"](u), -0.6 / u)
+
+
+@pytest.mark.parametrize("key, low", [("paths", 2), ("steps", 1), ("chunk", 1)])
+def test_mc_counts_below_their_floor_are_rejected(key, low, tmp_path, capsys):
+    assert mc_settings({key: str(low)}, 1)[key] == low
+    parser = configparser.ConfigParser()
+    parser.read_string(BENCH_INI)
+    parser.set("mc", key, str(low - 1))
+    ini = io.StringIO()
+    parser.write(ini)
+    assert _failed_solve(tmp_path, capsys, ini.getvalue()) == {"section": "mc", "key": key, "text": str(low - 1)}
+
+
+@pytest.mark.parametrize("flag, value", [("--paths", "1"), ("--paths", "0"), ("--steps", "0")])
+def test_price_flags_below_their_floor_are_rejected(flag, value, bench_config, tmp_path, capsys):
+    field_dir = str(tmp_path / "field")
+    assert main(["solve", "--config", bench_config, "--out", field_dir]) == 0
+    capsys.readouterr()
+    assert main(["price", "--config", bench_config, "--field", field_dir, flag, value]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration_error"
+    assert err["details"] == {"section": "mc", "key": flag[2:], "text": value}
 
 
 # The golden-manifest configs load in test_manifest_matches_its_golden_file.

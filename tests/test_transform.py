@@ -1,8 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
+from degenpde import cli
+from degenpde.config import load_config
 from degenpde.errors import ContractViolationError, IntegrationError, ParameterError
 from degenpde.families import SpaceTimeField
+from degenpde.model import discount_and_xi, mbs_to_general
+from degenpde.solver import GridSpec, solve
 from degenpde.transform import (
     invert,
     primitive_lambda,
@@ -12,6 +18,8 @@ from degenpde.transform import (
 )
 
 from conftest import make_general_coeffs
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def zero_lambda(u):
@@ -274,3 +282,50 @@ class TestTabulationSmoothness:
         analytic = qp_end * (2.0 / np.sqrt(pair.tau_end + 1.0) + 2.0 * 0.5 / q_end * qp_end)
         assert np.isfinite(bound)
         assert bound <= 1.05 * analytic
+
+
+class TestThreeMarches:
+    """U, u = U + h + xi and tau = P(u) marched on one grid per level.
+
+    The config's own objects: ``cfg.problem`` is ``mbs_price_problem``, u is
+    the reduction ``mbs_to_general`` and tau is ``transformed_problem`` on the
+    pair ``transform-check`` builds. u and Q(tau) differ from U + h + xi by
+    their own grid errors, so the test gates on the observed order, not on a
+    tolerance. Measured at 101/201/401 nodes: |u - (U+h+xi)| 1.353e-2,
+    3.366e-3, 8.421e-4 (orders 2.007, 1.999) and |Q(tau) - (U+h+xi)|
+    1.809e-2, 4.469e-3, 1.116e-3 (orders 2.017, 2.002); the bound 1.9 leaves
+    a margin of 0.1. At 51 nodes the u march leaves the interval the pair
+    covers, so the levels start at 101.
+    """
+
+    NODES = (101, 201, 401)
+    MIN_ORDER = 1.9
+
+    @pytest.fixture(scope="class")
+    def errors(self):
+        cfg = load_config(os.path.join(REPO, "configs", "benchmark.ini"))
+        pair = cli._transform_pair(cfg.transform)
+        lo, _ = cfg.transform["interval"]
+        reduced = mbs_to_general(cfg.model, cfg.sigma, cfg.mu, (lo, pair.target))
+        tau_problem = transformed_problem(pair, reduced)
+        xi, _ = discount_and_xi(cfg.model)
+        h = cfg.model.principal_h
+        off = (slice(None), slice(cfg.collar, -cfg.collar))
+        out = {"u": [], "Q(tau)": []}
+        for nodes in self.NODES:
+            grid, _ = GridSpec.stable(cfg.problem, 1, cfg.grid.half_width[0], nodes, cfg.horizon)
+            mesh = grid.mesh()
+            u0 = cfg.u0(mesh) + h(mesh, 0.0) + xi(0.0)
+            U = solve(cfg.problem, cfg.u0, grid).values
+            u = solve(reduced.as_problem(), u0, grid).values
+            tau = solve(tau_problem, pair.p(u0), grid).values
+            reference = U + np.stack([h(mesh, t) + xi(t) for t in grid.times])
+            out["u"].append(np.abs(u - reference)[off].max())
+            out["Q(tau)"].append(np.abs(pair.q(tau) - reference)[off].max())
+        return out
+
+    @pytest.mark.parametrize("unknown", ["u", "Q(tau)"])
+    def test_difference_converges_at_second_order(self, errors, unknown):
+        e = np.asarray(errors[unknown])
+        orders = np.log2(e[:-1] / e[1:])
+        assert np.all(orders > self.MIN_ORDER), (unknown, e, orders)
