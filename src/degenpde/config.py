@@ -26,6 +26,7 @@ from .model import (
     MbsModel,
     mbs_price_problem,
     mbs_to_general,
+    price_positivity_bound,
 )
 from .solver import DEFAULT_THETA, GridSpec
 
@@ -82,6 +83,15 @@ def _at_least(low):
         if value < low:
             raise ValueError(f"{value} is below {low}")
         return value
+
+    return parse
+
+
+def _one_of(*choices):
+    def parse(text):
+        if text not in choices:
+            raise ValueError(f"{text!r} is not one of {', '.join(choices)}")
+        return text
 
     return parse
 
@@ -241,7 +251,7 @@ def _read_mc(read, dim):
     read("mc", "paths", "100000", _at_least(2))
     read("mc", "steps", "500", _at_least(1))
     read("mc", "seed", "0", int)
-    read("mc", "mode", "both", str)
+    read("mc", "mode", "both", _one_of("q", "pw", "both"))
     read("mc", "x0", "0.0", lambda text: _parse_vector(text, dim))
     read("mc", "price_time", "0.0")
     read("mc", "chunk", "50000", _at_least(1))
@@ -348,6 +358,8 @@ def load_config(path):
     collar = read("grid", "collar", "4", int)
     steps = read("grid", "steps", "auto", _or_auto(int))
     grid, ratio = GridSpec.stable(problem, dim, half_width, nodes, horizon, steps, theta)
+    if model is not None:
+        price_positivity_bound(model, value_interval, grid.mesh())
     read.manifest["grid"].update(
         dim=dim,
         horizon=horizon,
@@ -364,6 +376,13 @@ def load_config(path):
     mc = {}
     if parser.has_section("mc"):
         mc = dict(_read_mc(read, dim))
+        if not 0.0 <= mc["price_time"] <= horizon:
+            raise ConfigurationError(
+                f"cannot read [mc] price_time: {mc['price_time']} lies outside [0, {horizon}]",
+                section="mc",
+                key="price_time",
+                text=parser["mc"]["price_time"],
+            )
         read.manifest["mc"]["positivity_floor_rel"] = montecarlo.POSITIVITY_FLOOR_REL
 
     cap = read("diagnostics", "offset_cap", "auto", _or_auto(float))

@@ -43,7 +43,6 @@ class KernelDecomposition:
     """
 
     basis: np.ndarray  # (m, N)
-    complement: np.ndarray  # (N - m, N)
     matrix: np.ndarray  # (N, N)
     m: int
     rank: int
@@ -79,7 +78,6 @@ def kernel_basis(sigma_matrix):
     cond = float(np.linalg.cond(matrix)) if n else 1.0
     return KernelDecomposition(
         basis=basis,
-        complement=complement,
         matrix=matrix,
         m=m,
         rank=n - m,

@@ -25,15 +25,12 @@ class DegenPdeError(Exception):
 
 
 def _plain(value):
-    try:
-        import numpy as np
+    import numpy as np
 
-        if isinstance(value, np.generic):
-            return value.item()
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, tuple):
         return list(value)
     return value

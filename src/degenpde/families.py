@@ -5,86 +5,44 @@ Space points are arrays with a trailing axis of length ``dim`` (shape
 ``(..., m)``. Time ``t`` is a scalar per call. All built-ins are plain numpy
 and vectorize over the leading axes.
 
-A field supplies its analytic derivatives when it has them; otherwise central
-differences with step ``cbrt(eps) * scale`` are used.
+Every field carries its analytic gradient, Hessian and time derivative.
 """
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
 
 class SpaceTimeField:
-    """Scalar field g(x, t) with optional analytic derivatives.
+    """Scalar field g(x, t) with its analytic derivatives.
 
     Parameters
     ----------
     fn : callable
         ``fn(x, t) -> array`` with x of shape ``(..., dim)``.
-    grad, hess, dt : callable, optional
-        Analytic spatial gradient ``(..., dim)``, Hessian ``(..., dim, dim)``
-        and time derivative ``(...)``. Missing ones fall back to central
-        differences.
-    scale : float
-        Length scale used to size the finite-difference step.
+    grad, hess, dt : callable
+        Spatial gradient ``(..., dim)``, Hessian ``(..., dim, dim)`` and
+        time derivative ``(...)``.
     """
 
-    def __init__(self, fn, grad=None, hess=None, dt=None, dim=1, scale=1.0):
+    def __init__(self, fn, grad, hess, dt, dim=1):
         self.fn = fn
         self._grad = grad
         self._hess = hess
         self._dt = dt
         self.dim = int(dim)
-        self.scale = float(scale)
 
     def __call__(self, x, t):
         return np.asarray(self.fn(np.asarray(x, dtype=float), t), dtype=float)
 
     def grad(self, x, t):
-        x = np.asarray(x, dtype=float)
-        if self._grad is not None:
-            return np.asarray(self._grad(x, t), dtype=float)
-        h = _FD_STEP * self.scale
-        out = np.empty(x.shape, dtype=float)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            out[..., i] = (self(x + e, t) - self(x - e, t)) / (2.0 * h)
-        return out
+        return np.asarray(self._grad(np.asarray(x, dtype=float), t), dtype=float)
 
     def hess(self, x, t):
-        x = np.asarray(x, dtype=float)
-        if self._hess is not None:
-            return np.asarray(self._hess(x, t), dtype=float)
-        h = (_FD_STEP * self.scale) * 8.0
-        n = self.dim
-        out = np.empty(x.shape[:-1] + (n, n), dtype=float)
-        base = self(x, t)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            out[..., i, i] = (self(x + ei, t) - 2.0 * base + self(x - ei, t)) / h**2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h
-                cross = (
-                    self(x + ei + ej, t)
-                    - self(x + ei - ej, t)
-                    - self(x - ei + ej, t)
-                    + self(x - ei - ej, t)
-                ) / (4.0 * h**2)
-                out[..., i, j] = cross
-                out[..., j, i] = cross
-        return out
+        return np.asarray(self._hess(np.asarray(x, dtype=float), t), dtype=float)
 
     def time_derivative(self, x, t):
-        if self._dt is not None:
-            return np.asarray(self._dt(np.asarray(x, dtype=float), t), dtype=float)
-        h = _FD_STEP * max(self.scale, 1.0)
-        tl = max(t - h, 0.0)
-        return (self(x, t + h) - self(x, tl)) / (t + h - tl)
+        return np.asarray(self._dt(np.asarray(x, dtype=float), t), dtype=float)
 
 
 def zero_field(dim):
@@ -135,7 +93,7 @@ def gaussian_bump_field(dim, amplitude=1.0, center=0.0, width=1.0, ramp=None):
         r2 = np.sum((x - c) ** 2, axis=-1)
         return a * gdot * np.exp(-r2 / (2.0 * w**2))
 
-    return SpaceTimeField(value, grad, hess, dt, dim=dim, scale=w)
+    return SpaceTimeField(value, grad, hess, dt, dim=dim)
 
 
 def constant_field(dim, value):
@@ -159,7 +117,6 @@ def affine_field(dim, coeffs, intercept=0.0):
         hess=lambda x, t: np.zeros(x.shape[:-1] + (dim, dim)),
         dt=lambda x, t: np.zeros(x.shape[:-1]),
         dim=dim,
-        scale=1.0,
     )
 
 

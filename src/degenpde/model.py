@@ -39,16 +39,15 @@ __all__ = [
     "ProblemSpec",
     "mbs_to_general",
     "mbs_price_problem",
+    "price_positivity_bound",
     "discount_and_xi",
 ]
 
 
 # Times sampled on [0, T) to check that sigma(t) keeps one shape and rank.
 _SIGMA_RANK_SAMPLES = 17
-# Relative residual up to which w(x, t) counts as in the range of sigma^T(t).
-_RANGE_TOL = 1e-8
-# Times sampled on [0, T] by ``MbsModel.validate``.
-_VALIDATE_TIMES = 9
+# Times sampled on [0, T] by ``price_positivity_bound``.
+_POSITIVITY_TIMES = 33
 
 
 def _dot(a, b):
@@ -89,14 +88,12 @@ class ProblemSpec:
     """
 
     dim: int
-    noise_dim: int
     sigma: Callable  # t -> (N, d)
     drift: Callable  # (x, t) -> (..., N), enters H as +<drift, p>
     quad_coeff: Callable  # (x, t, u) -> (...)
     cross_coeff: Callable  # (x, t, u) -> (...)
     w: Callable  # (x, t) -> (..., d)
     source: Callable  # (x, t, u) -> (...)
-    domain_interval: tuple
     value_interval: tuple
     label: str = "general"
     norms: Optional[CoefficientNorms] = None
@@ -194,32 +191,16 @@ class CoefficientSet:
         if len(ranks) != 1:
             raise ContractViolationError("sigma(t) must have constant rank", ranks=sorted(ranks))
 
-    def check_range_compatibility(self, probe_points, probe_times):
-        """Verify w(x,t) lies in the range of sigma^T(t) at the probes."""
-        for t in probe_times:
-            s = np.asarray(self.sigma(t), dtype=float)
-            wv = np.asarray(self.w(probe_points, t), dtype=float)
-            sol, *_ = np.linalg.lstsq(s.T, wv.T, rcond=None)
-            resid = s.T @ sol - wv.T
-            worst = float(np.max(np.abs(resid))) if resid.size else 0.0
-            if worst > _RANGE_TOL * max(1.0, float(np.max(np.abs(wv))) if wv.size else 1.0):
-                raise ContractViolationError(
-                    "w(x,t) leaves the range of sigma^T", time=t, residual=worst
-                )
-        return True
-
     def as_problem(self):
         lam, eta = self.lambda_fn, self.eta_fn
         return ProblemSpec(
             dim=self.dim,
-            noise_dim=self.noise_dim,
             sigma=self.sigma,
             drift=self.mu,
             quad_coeff=lambda x, t, u: lam(u),
             cross_coeff=lambda x, t, u: eta(u),
             w=self.w,
             source=self.f,
-            domain_interval=self.domain_interval,
             value_interval=self.value_interval,
             label=self.label,
             norms=self.norms,
@@ -230,9 +211,10 @@ class CoefficientSet:
 class MbsModel:
     """Financial instance: risk parameter, coupon, short rate and principal.
 
-    principal_h must satisfy h >= 0 and h(., 0) == 0; the short rate is a
-    deterministic function of time carrying its antiderivative
-    ``integral(t) = int_0^t r(s) ds``.
+    rho lies in (0, 1), the coupon and the horizon are positive, and the short
+    rate is a deterministic function of time carrying its antiderivative
+    ``integral(t) = int_0^t r(s) ds``. The principal h may take any sign;
+    ``price_positivity_bound`` checks that U + h + xi stays positive on a grid.
     """
 
     rho: float
@@ -251,30 +233,6 @@ class MbsModel:
             raise ContractViolationError("horizon must be positive", horizon=self.horizon)
         if not callable(getattr(self.rate_r, "integral", None)):
             raise ContractViolationError("short rate needs an integral(t) antiderivative")
-
-    def validate(self, probe_points=None):
-        """Run the smooth-coefficient sampler and the xi invariants."""
-        xi, _ = discount_and_xi(self)
-        if abs(xi(0.0) - 1.0) > 1e-12:
-            raise ContractViolationError("xi(0) must equal 1", xi0=xi(0.0))
-        ts = np.linspace(0.0, self.horizon, _VALIDATE_TIMES)
-        xs = np.asarray([float(xi(t)) for t in ts])
-        rs = np.asarray([float(self.rate_r(t)) for t in ts])
-        if np.all(rs > 0.0) and np.any(np.diff(xs) <= 0.0):
-            raise ContractViolationError("xi must increase strictly when r > 0")
-        if probe_points is None:
-            probe_points = np.zeros((1, self.dim))
-        h = self.principal_h
-        for t in ts:
-            vals = h(probe_points, t)
-            if np.any(vals < -1e-12):
-                raise ContractViolationError("principal must be nonnegative", time=t)
-            for arr in (h.grad(probe_points, t), h.hess(probe_points, t), h.time_derivative(probe_points, t)):
-                if not np.all(np.isfinite(arr)):
-                    raise ContractViolationError("principal derivatives must be finite", time=t)
-        if float(np.max(np.abs(h(probe_points, 0.0)))) > 1e-12:
-            raise ContractViolationError("principal must vanish at t = 0")
-        return True
 
 
 def discount_and_xi(model):
@@ -298,7 +256,7 @@ def discount_and_xi(model):
     return xi, discount
 
 
-def mbs_to_general(model, sigma, mu, value_interval=(0.25, 4.0)):
+def mbs_to_general(model, sigma, mu, value_interval):
     """Map the pricing equation to the general form for u = U + h + xi.
 
     Produces lambda(u) = rho/u and eta(u) = -2 rho/u as reciprocal families,
@@ -360,20 +318,13 @@ def mbs_price_problem(model, sigma, mu, value_interval):
 
     The gradient-quadratic coefficient is rho / (U + h + xi), which depends on
     (x, t) through h and xi; the source is r (U + h) - tau h. Marching U keeps
-    the exact solution U == 0 (for r == tau) a grid constant.
+    the exact solution U == 0 (for r == tau) a grid constant. The coefficient
+    needs U + h + xi > 0, which ``price_positivity_bound`` checks on a grid.
     """
     rho, tau = model.rho, model.coupon_tau
     h = model.principal_h
     rate = model.rate_r
     xi, _ = discount_and_xi(model)
-    lo, hi = value_interval
-    xs_min = min(float(xi(t)) for t in np.linspace(0.0, model.horizon, 33))
-    if lo + xs_min <= 0.0:
-        raise PositivityError(
-            "U + h + xi can reach zero on the configured value interval",
-            value_interval=value_interval,
-            xi_min=xs_min,
-        )
     d = np.asarray(sigma(0.0)).shape[1]
     if not model.dim >= d >= 1:
         raise ContractViolationError("need N >= d >= 1", dim=model.dim, noise_dim=d)
@@ -389,14 +340,33 @@ def mbs_price_problem(model, sigma, mu, value_interval):
     zero_w = lambda x, t: np.zeros(x.shape[:-1] + (d,))
     return ProblemSpec(
         dim=model.dim,
-        noise_dim=d,
         sigma=sigma,
         drift=lambda x, t: -mu(x, t),
         quad_coeff=quad_coeff,
         cross_coeff=lambda x, t, u: np.zeros(np.shape(u)),
         w=zero_w,
         source=source,
-        domain_interval=(-np.inf, np.inf),
         value_interval=value_interval,
         label="mbs_price",
     )
+
+
+def price_positivity_bound(model, value_interval, points):
+    """lo + the least h(x, t) + xi(t) over ``points`` and 33 times of [0, T].
+
+    The price equation's coefficient rho / (U + h + xi) needs U + h + xi > 0
+    for every U in ``value_interval`` = [lo, hi]; a bound at or below zero is
+    a PositivityError naming the value interval and the bound.
+    """
+    xi, _ = discount_and_xi(model)
+    h = model.principal_h
+    floor = min(
+        float(np.min(h(points, t))) + float(xi(t))
+        for t in np.linspace(0.0, model.horizon, _POSITIVITY_TIMES)
+    )
+    bound = value_interval[0] + floor
+    if bound <= 0.0:
+        raise PositivityError(
+            "U + h + xi can reach zero on the grid", value_interval=value_interval, bound=bound
+        )
+    return bound

@@ -117,9 +117,6 @@ class EnvelopeFit:
     offset: float
     max_slack: float = 0.0
 
-    def __iter__(self):
-        return iter((self.amplitude, self.rate, self.offset))
-
     def value(self, t):
         return self.amplitude * np.exp(self.rate * np.asarray(t, dtype=float)) + self.offset
 
@@ -258,9 +255,6 @@ def envelope_fit(series, times):
 class LipschitzReport:
     lip_x: np.ndarray = dataclass_field(repr=False)
     lip_t: float = 0.0
-
-    def max_lip_x(self):
-        return float(self.lip_x.max())
 
 
 class LipschitzMeter:

@@ -316,14 +316,12 @@ def transformed_problem(pair, coeffs):
     tau_interval = (float(pair.p(lo_u)), float(pair.p(hi_att)))
     return ProblemSpec(
         dim=coeffs.dim,
-        noise_dim=coeffs.noise_dim,
         sigma=coeffs.sigma,
         drift=coeffs.mu,
         quad_coeff=quad_coeff,
         cross_coeff=cross_coeff,
         w=coeffs.w,
         source=source,
-        domain_interval=(float(pair.tau_knots[0]), float(pair.tau_knots[-1])),
         value_interval=tau_interval,
         label="transformed",
     )

@@ -370,6 +370,35 @@ def test_mc_counts_below_their_floor_are_rejected(key, low, tmp_path, capsys):
     assert _failed_solve(tmp_path, capsys, ini.getvalue()) == {"section": "mc", "key": key, "text": str(low - 1)}
 
 
+@pytest.mark.parametrize("key, bad", [("mode", "bogus"), ("price_time", "5.0"), ("price_time", "-0.1")])
+def test_mc_mode_and_price_time_are_checked_at_load(key, bad, tmp_path, capsys):
+    # price_and_compare would reject both only after the march
+    parser = configparser.ConfigParser()
+    parser.read_string(BENCH_INI)
+    parser.set("mc", key, bad)
+    path = tmp_path / "bad.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    out = tmp_path / "out"
+    assert main(["verify-duality", "--config", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration_error"
+    assert err["details"] == {"section": "mc", "key": key, "text": bad}
+    assert not out.exists()
+
+
+def test_positivity_bound_counts_the_principal(tmp_path, capsys):
+    # h(x) = x reaches -8 on the nodes: -0.5 + min(h + xi) = -0.5 - 8 + 1
+    path = tmp_path / "affine.ini"
+    path.write_text(BENCH_INI.replace("principal = gaussian_bump:amplitude=1,center=0,width=1,ramp=3", "principal = affine:1"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "positivity_violation"
+    assert err["details"] == {"value_interval": [-0.5, 1.5], "bound": -7.5}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--paths", "1"), ("--paths", "0"), ("--steps", "0")])
 def test_price_flags_below_their_floor_are_rejected(flag, value, bench_config, tmp_path, capsys):
     field_dir = str(tmp_path / "field")

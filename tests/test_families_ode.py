@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import sympy
 
 from degenpde.errors import StiffnessError
 from degenpde.families import (
-    SpaceTimeField,
     affine_field,
     constant_field,
     constant_rate,
@@ -29,26 +29,21 @@ EPS = np.finfo(float).eps
 
 
 class TestSpaceTimeField:
-    def test_finite_difference_fallbacks(self):
-        raw = SpaceTimeField(
-            fn=lambda x, t: np.sin(x[..., 0]) * np.exp(-t), dim=1, scale=1.0
-        )
-        x = np.array([[0.4], [1.1]])
-        np.testing.assert_allclose(raw.grad(x, 0.3)[:, 0], np.cos(x[:, 0]) * np.exp(-0.3), atol=1e-9)
-        np.testing.assert_allclose(
-            raw.hess(x, 0.3)[:, 0, 0], -np.sin(x[:, 0]) * np.exp(-0.3), atol=1e-6
-        )
-        np.testing.assert_allclose(
-            raw.time_derivative(x, 0.3), -np.sin(x[:, 0]) * np.exp(-0.3), atol=1e-7
-        )
-
     def test_gaussian_bump_analytic_derivatives_match_fd(self):
+        # the oracle is sympy's derivative of the bump's formula
+        x1, x2, t = sympy.symbols("x1 x2 t")
+        space = (x1, x2)
+        r2 = (x1 - 0.3) ** 2 + (x2 - 0.3) ** 2
+        g = 0.7 * (1 - sympy.exp(-2.0 * t)) * sympy.exp(-r2 / (2 * 1.2**2))
+        grad = sympy.lambdify((x1, x2, t), sympy.Matrix([g]).jacobian(space))
+        hess = sympy.lambdify((x1, x2, t), sympy.hessian(g, space))
+        dt = sympy.lambdify((x1, x2, t), sympy.diff(g, t))
         bump = gaussian_bump_field(2, amplitude=0.7, center=0.3, width=1.2, ramp=2.0)
-        raw = SpaceTimeField(fn=bump.fn, dim=2, scale=1.2)
         x = np.array([[0.1, -0.4], [0.8, 0.2]])
-        np.testing.assert_allclose(bump.grad(x, 0.5), raw.grad(x, 0.5), atol=1e-8)
-        np.testing.assert_allclose(bump.hess(x, 0.5), raw.hess(x, 0.5), atol=1e-5)
-        np.testing.assert_allclose(bump.time_derivative(x, 0.5), raw.time_derivative(x, 0.5), atol=1e-7)
+        for i, point in enumerate(x):
+            np.testing.assert_allclose(bump.grad(x, 0.5)[i], grad(*point, 0.5)[0], rtol=1e-13)
+            np.testing.assert_allclose(bump.hess(x, 0.5)[i], hess(*point, 0.5), rtol=1e-13, atol=1e-16)
+            np.testing.assert_allclose(bump.time_derivative(x, 0.5)[i], dt(*point, 0.5), rtol=1e-13)
 
     def test_ramp_vanishes_at_start(self):
         bump = gaussian_bump_field(1, ramp=3.0)

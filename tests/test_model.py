@@ -21,6 +21,7 @@ from degenpde.model import (
     discount_and_xi,
     mbs_price_problem,
     mbs_to_general,
+    price_positivity_bound,
 )
 from degenpde.transform import primitive_lambda
 
@@ -277,8 +278,10 @@ class TestMbsToGeneral:
         model = make_benchmark_model()
         with pytest.raises(PositivityError):
             mbs_to_general(model, constant_sigma([[1.0]]), zero_drift(1), value_interval=(-0.1, 2.0))
+        nodes = np.linspace(-8.0, 8.0, 101)[:, None]
+        assert price_positivity_bound(model, (-0.5, 1.5), nodes) == 0.5
         with pytest.raises(PositivityError):
-            mbs_price_problem(model, constant_sigma([[1.0]]), zero_drift(1), value_interval=(-1.5, 2.0))
+            price_positivity_bound(model, (-1.5, 2.0), nodes)
 
 
 class TestDiscountAndXi:
@@ -321,10 +324,6 @@ class TestDiscountAndXi:
                 horizon=1.0,
             )
 
-    def test_xi_invariants_checked(self):
-        model = make_benchmark_model()
-        assert model.validate(probe_points=np.linspace(-4, 4, 7)[:, None])
-
 
 class TestCoefficientSetInvariants:
     def test_value_interval_must_sit_inside_domain(self):
@@ -338,23 +337,3 @@ class TestCoefficientSetInvariants:
     def test_noise_dim_cannot_exceed_dim(self):
         with pytest.raises(ContractViolationError):
             make_general_coeffs(dim=1, sigma_matrix=np.ones((1, 2)))
-
-    def test_range_compatibility_check(self):
-        # w = sigma^T grad h lies in the range of sigma^T by construction
-        model = make_benchmark_model()
-        coeffs = mbs_to_general(model, constant_sigma([[1.0]]), zero_drift(1), value_interval=(0.5, 4.0))
-        probes = np.linspace(-3, 3, 13)[:, None]
-        assert coeffs.check_range_compatibility(probes, [0.1, 0.5, 0.9])
-
-    def test_range_compatibility_rejects_orthogonal_w(self):
-        # rank-1 sigma^T into R^2: its range is span{e1}, so w = e2 must fail
-        coeffs = make_general_coeffs(
-            dim=2,
-            sigma_matrix=np.array([[1.0, 0.0], [0.0, 0.0]]),
-            w=lambda x, t: np.broadcast_to(
-                np.array([0.0, 1.0]), x.shape[:-1] + (2,)
-            ).copy(),
-        )
-        probes = np.zeros((3, 2))
-        with pytest.raises(ContractViolationError):
-            coeffs.check_range_compatibility(probes, [0.0, 0.5])

@@ -157,7 +157,7 @@ class TestEnvelopeFit:
     def test_zero_series(self):
         ts = np.linspace(0.0, 1.0, 8)
         fit = envelope_fit(np.zeros(8), ts)
-        assert tuple(fit) == (0.0, 0.0, 0.0)
+        assert (fit.amplitude, fit.rate, fit.offset) == (0.0, 0.0, 0.0)
 
     def test_envelope_dominates_noisy_series(self):
         rng = np.random.default_rng(0)
@@ -241,7 +241,7 @@ class TestLipschitz:
     def test_constant_field(self):
         field = frozen_field(lambda x: np.full_like(x, 0.7), GRID)
         rep = lipschitz_estimates(field)
-        assert rep.max_lip_x() == 0.0 and rep.lip_t == 0.0
+        assert rep.lip_x.max() == 0.0 and rep.lip_t == 0.0
 
     def test_linear_frozen_field(self):
         field = frozen_field(lambda x: x, GRID)
