@@ -68,7 +68,7 @@ def _march(cfg, store, regularity):
     summary = {
         "variable": field.variable,
         "grid": cfg.manifest["grid"],
-        "residual": report.summary(),
+        "residual": report,
         "clamp_report": field.clamp_report,
         "value_range": field.value_range,
     }
@@ -86,9 +86,6 @@ def _regularity_report(cfg, field, reg, res):
     lip = reg.lipschitz.report()
     tol = 10.0 * res.max if res is not None else 0.0
 
-    fit_minus = envelope_fit(np.asarray(reg.l_minus), np.asarray(reg.t))
-    fit_plus = envelope_fit(np.asarray(reg.l_plus), np.asarray(reg.t))
-
     report = {
         "variable": field.variable,
         "collar": collar,
@@ -102,18 +99,8 @@ def _regularity_report(cfg, field, reg, res):
             "w2_norm": reg.w2_norm,
         },
         "lip_t": lip.lip_t,
-        "envelope_minus": {
-            "amplitude": fit_minus.amplitude,
-            "rate": fit_minus.rate,
-            "offset": fit_minus.offset,
-            "max_slack": fit_minus.max_slack,
-        },
-        "envelope_plus": {
-            "amplitude": fit_plus.amplitude,
-            "rate": fit_plus.rate,
-            "offset": fit_plus.offset,
-            "max_slack": fit_plus.max_slack,
-        },
+        "envelope_minus": envelope_fit(np.asarray(reg.l_minus), np.asarray(reg.t)),
+        "envelope_plus": envelope_fit(np.asarray(reg.l_plus), np.asarray(reg.t)),
     }
     if problem is not None:
         w_norms = reg.sobolev_norms() if problem.norms is not None else None
@@ -121,11 +108,7 @@ def _regularity_report(cfg, field, reg, res):
         dev = reg.deviation.check(bc.c0_init, tol)
         report["c0_init"] = bc.c0_init
         report["scheme_tolerance"] = tol
-        report["initial_deviation"] = {
-            "worst_ratio": dev.worst_ratio,
-            "ok": dev.ok,
-            "horizon_fraction": INITIAL_LAYER_FRACTION,
-        }
+        report["initial_deviation"] = dict(vars(dev), horizon_fraction=INITIAL_LAYER_FRACTION)
         if w_norms is not None:
             # time-Lipschitz check against the one-sided growth bound;
             # flagged, never failed
@@ -141,8 +124,8 @@ def _regularity_report(cfg, field, reg, res):
 
 
 def _price(cfg, field, mc):
-    """Price ``field`` with the resolved ``[mc]`` settings; the report as a dict."""
-    rep = price_and_compare(
+    """Price ``field`` with the resolved ``[mc]`` settings."""
+    return price_and_compare(
         cfg.model,
         field,
         cfg.sigma,
@@ -155,7 +138,6 @@ def _price(cfg, field, mc):
         mode=mc["mode"],
         chunk_size=mc["chunk"],
     )
-    return rep.as_dict()
 
 
 def _write_outputs(cfg, out_dir, outputs):
@@ -190,11 +172,9 @@ def run_experiment(cfg, out_dir):
         outputs["regularity.json"] = _regularity_report(cfg, field, reg, res)
     if cfg.model is not None and cfg.mc:
         mode = cfg.mc["mode"]
-        pricing = _price(cfg, field, cfg.mc)
-        if mode != "both":
-            pricing = {mode: pricing}
-        pricing["residual_max"] = res.max
-        outputs["pricing.json"] = pricing
+        rep = _price(cfg, field, cfg.mc)
+        pricing = vars(rep) if mode == "both" else {mode: rep}
+        outputs["pricing.json"] = dict(pricing, residual_max=res.max)
     return _write_outputs(cfg, out_dir, outputs)
 
 
@@ -227,10 +207,10 @@ def cmd_price(args):
     mc.update((key, checked[key]) for key in flags)
     mode = args.mode or mc["mode"]
     mc["mode"] = "q" if mode == "both" else mode
-    payload = _price(cfg, field, mc)
-    sys.stdout.write(dumps_json(payload))
+    rep = _price(cfg, field, mc)
+    sys.stdout.write(dumps_json(rep))
     if args.out:
-        write_json(os.path.join(args.out, "pricing.json"), payload)
+        write_json(os.path.join(args.out, "pricing.json"), rep)
     return 0
 
 
@@ -360,9 +340,20 @@ def cmd_transform_check(args):
 
 
 def cmd_counterexample(args):
+    # two paths give a standard error and one step a path, as in [mc]
+    for flag, value, ok, rule in (
+        ("--paths", args.paths, args.paths >= 2, "at least 2"),
+        ("--steps", args.steps, args.steps >= 1, "at least 1"),
+        ("--T", args.T, 0.0 < args.T < np.inf, "positive and finite"),
+    ):
+        if not ok:
+            raise ConfigurationError(f"{flag} must be {rule}", flag=flag, text=str(value))
     window = None
     if args.window:
-        a, b = (float(v) for v in args.window.split(","))
+        try:
+            a, b = (float(v) for v in args.window.split(","))
+        except ValueError:
+            raise ConfigurationError("--window needs two numbers a,b", flag="--window", text=args.window) from None
         window = (a, b)
     rep = counterexample_run(
         horizon=args.T,
@@ -371,7 +362,7 @@ def cmd_counterexample(args):
         seed=args.seed,
         time_window=window,
     )
-    sys.stdout.write(dumps_json(rep.as_dict()))
+    sys.stdout.write(dumps_json(rep))
     return 0
 
 

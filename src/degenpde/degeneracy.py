@@ -248,17 +248,6 @@ class CounterexampleReport:
     horizon: float
     seed: int
 
-    def as_dict(self):
-        return {
-            "estimate": self.estimate,
-            "se": self.se,
-            "expected": self.expected,
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
-
 
 def counterexample_run(horizon=1.0, n_paths=100_000, n_steps=1000, seed=0, time_window=None):
     """Occupation time of {first coordinate exactly zero, second negative}.

@@ -1,7 +1,8 @@
 """Exception hierarchy with machine-readable error codes.
 
 Every error carries a short ``code`` string that the CLI emits in its JSON
-error payload, plus the name of the module that raised it.
+error payload, plus the name of the module that raised it. The details go
+into the payload as given, and ``reporting`` prints them.
 """
 
 
@@ -20,20 +21,8 @@ class DegenPdeError(Exception):
             "error": self.code,
             "module": self.module,
             "message": str(self),
-            "details": {k: _plain(v) for k, v in self.details.items()},
+            "details": self.details,
         }
-
-
-def _plain(value):
-    import numpy as np
-
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 class DomainViolationError(DegenPdeError):

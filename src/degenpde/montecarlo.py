@@ -410,12 +410,14 @@ def stream_paths(kernels, mu, x0, t0, increments):
 
 @dataclass
 class PricingReport:
-    """Monte Carlo vs grid-solution comparison for one estimator mode."""
+    """Monte Carlo vs grid-solution comparison for one estimator mode; the
+    weight fields are set in mode pw only."""
 
     mode: str
     mc_mean: float
     mc_se: float
     pde_value: float
+    abs_diff: float  # |mc_mean - pde_value|
     z_score: float
     n_paths: int
     n_steps: int
@@ -429,40 +431,15 @@ class PricingReport:
     x0: tuple = ()
     price_time: float = 0.0
 
-    @property
-    def abs_diff(self):
-        return abs(self.mc_mean - self.pde_value)
-
-    def as_dict(self):
-        out = {
-            "mode": self.mode,
-            "mc_mean": self.mc_mean,
-            "mc_se": self.mc_se,
-            "pde_value": self.pde_value,
-            "abs_diff": self.abs_diff,
-            "z_score": self.z_score,
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "seed": self.seed,
-            "clamp_fraction": self.clamp_fraction,
-            "clamp_flag": self.clamp_flag,
-            "x0": list(self.x0),
-            "price_time": self.price_time,
-        }
-        if self.weight_mean is not None:
-            out["weight_mean"] = self.weight_mean
-            out["weight_se"] = self.weight_se
-            out["weight_ess"] = self.weight_ess
-            out["max_weight"] = self.max_weight
-        return out
-
 
 @dataclass
 class DualityReport:
-    """Both estimator modes priced on shared noise, and their agreement."""
+    """Both estimator modes priced on shared noise, and their agreement:
+    the difference of the means, its combined standard error and z-score."""
 
     q: PricingReport
     pw: PricingReport
+    agreement: dict
 
     @property
     def n_paths(self):
@@ -471,19 +448,6 @@ class DualityReport:
     @property
     def n_steps(self):
         return self.q.n_steps
-
-    def as_dict(self):
-        diff = abs(self.q.mc_mean - self.pw.mc_mean)
-        combined = float(np.hypot(self.q.mc_se, self.pw.mc_se))
-        return {
-            "q": self.q.as_dict(),
-            "pw": self.pw.as_dict(),
-            "agreement": {
-                "difference": diff,
-                "combined_se": combined,
-                "z_score": diff / combined if combined > 0 else 0.0,
-            },
-        }
 
 
 def weight_statistics(log_weights):
@@ -593,6 +557,7 @@ def price_and_compare(
             mc_mean=mc_mean,
             mc_se=mc_se,
             pde_value=pde_value,
+            abs_diff=diff,
             z_score=float(z),
             n_paths=n_paths,
             n_steps=n_steps,
@@ -606,4 +571,14 @@ def price_and_compare(
             x0=tuple(float(v) for v in x0),
             price_time=float(price_time),
         )
-    return DualityReport(**reports) if mode == "both" else reports[mode]
+    if mode != "both":
+        return reports[mode]
+    q, pw = reports["q"], reports["pw"]
+    diff = abs(q.mc_mean - pw.mc_mean)
+    combined = float(np.hypot(q.mc_se, pw.mc_se))
+    agreement = {
+        "difference": diff,
+        "combined_se": combined,
+        "z_score": diff / combined if combined > 0 else 0.0,
+    }
+    return DualityReport(q=q, pw=pw, agreement=agreement)

@@ -2,10 +2,15 @@
 
 Every float prints with 17 significant digits and dictionary keys are
 sorted, so a rerun with the same seed produces byte-identical files. No
-timestamps are written anywhere.
+timestamps are written anywhere. ``_serialize`` is the one rule that turns
+values into JSON: a report dataclass is the mapping of its fields, a field
+left None is absent, and tuples, numpy arrays and numpy scalars print as
+lists and numbers.
 """
 
+import dataclasses
 import os
+import warnings
 
 import numpy as np
 
@@ -38,6 +43,9 @@ def format_float(x):
 def _serialize(obj, level):
     pad = "  " * level
     pad_in = "  " * (level + 1)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+        obj = {name: value for name, value in fields if value is not None}
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -101,45 +109,52 @@ def write_table_csv(path, header, columns):
     return path
 
 
+def _coordinate_columns(grid):
+    """The (t, x1..xN) columns of a field export: time-major, C-ordered."""
+    mesh = grid.mesh().reshape(-1, grid.dim)
+    m1 = grid.steps + 1
+    return [np.repeat(grid.times, mesh.shape[0])] + [np.tile(mesh[:, i], m1) for i in range(grid.dim)]
+
+
 def write_field_csv(field, path):
     """Field export with columns (t, x1..xN, u), time-major and C-ordered."""
     grid = field.grid
-    mesh = grid.mesh().reshape(-1, grid.dim)
-    n_nodes = mesh.shape[0]
-    m1 = grid.steps + 1
-    t_col = np.repeat(field.times, n_nodes)
-    coord_cols = [np.tile(mesh[:, i], m1) for i in range(grid.dim)]
-    u_col = field.values.reshape(m1 * n_nodes)
+    u_col = field.values.reshape(-1)
     header = ["t"] + [f"x{i + 1}" for i in range(grid.dim)] + [field.variable]
-    return write_table_csv(path, header, [t_col] + coord_cols + [u_col])
+    return write_table_csv(path, header, _coordinate_columns(grid) + [u_col])
 
 
 def read_field_csv(path):
-    """Rebuild a SolutionField from the CSV export (no equation attached)."""
+    """Rebuild a SolutionField from ``write_field_csv``'s export (no equation
+    attached). Any other table is a configuration error that names the path:
+    its coordinate columns must be, bit for bit, those of the export of the
+    grid they span."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     dim = len(header) - 2
     if dim < 1 or header[0] != "t":
         raise ConfigurationError("unrecognized field CSV header", header=header)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns on an empty body
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (ValueError, UserWarning) as err:
+        raise ConfigurationError("field CSV is not a table of numbers", path=path, reason=str(err)) from None
+    if data.shape[1] != dim + 2:
+        raise ConfigurationError("field CSV rows do not match its header", path=path, columns=data.shape[1])
     times = np.unique(data[:, 0])
     axes = [np.unique(data[:, 1 + i]) for i in range(dim)]
-    shape = tuple(len(ax) for ax in axes)
-    expected = len(times) * int(np.prod(shape))
-    if data.shape[0] != expected:
-        raise ConfigurationError(
-            "field CSV is not a full tensor grid", rows=data.shape[0], expected=expected
+    try:
+        grid = GridSpec(
+            dim=dim,
+            half_width=tuple(float(ax[-1]) for ax in axes),
+            nodes=tuple(len(ax) for ax in axes),
+            steps=len(times) - 1,
+            horizon=float(times[-1]),
         )
-    for ax in axes + [times]:
-        d = np.diff(ax)
-        if len(d) and not np.allclose(d, d[0], rtol=1e-9, atol=1e-12):
-            raise ConfigurationError("field CSV grid is not uniform")
-    grid = GridSpec(
-        dim=dim,
-        half_width=tuple(float(ax[-1]) for ax in axes),
-        nodes=shape,
-        steps=len(times) - 1,
-        horizon=float(times[-1]),
-    )
-    values = data[:, -1].reshape((len(times),) + shape)
+    except ContractViolationError as err:
+        raise ConfigurationError("field CSV does not span a grid", path=path, reason=str(err)) from None
+    if not all(np.array_equal(data[:, j], col) for j, col in enumerate(_coordinate_columns(grid))):
+        raise ConfigurationError("field CSV is not the export of the grid it spans", path=path)
+    values = data[:, -1].reshape((grid.steps + 1,) + grid.shape)
     return SolutionField(values, grid, problem=None, variable=header[-1])

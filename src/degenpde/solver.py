@@ -352,9 +352,6 @@ class ResidualReport:
     mean: float
     collar: int
 
-    def summary(self):
-        return {"max": self.max, "mean": self.mean, "collar": self.collar}
-
 
 class ResidualMeter:
     """Residuals |du/dt + H| with centered time differences, slice by slice.

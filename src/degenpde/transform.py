@@ -233,41 +233,30 @@ def solve_Q(
         atol=Q_ATOL,
         max_step=tau_max / 128.0,
     )
-    if coarse.status == "blow_up":
-        return TransformPair(
-            mode=mode,
-            c=float(c),
-            l_exp=le,
-            primitive=primitive,
-            tau_knots=coarse.tau,
-            q_knots=coarse.y,
-            slope_knots=coarse.slope,
-            status="blow_up",
-            blow_up_tau=coarse.blow_up_tau,
-            target=float(q_target),
+    run = coarse
+    if coarse.status != "blow_up":
+        tau_end = float(coarse.tau[-1])
+        run = integrate_increasing(
+            rhs,
+            0.0,
+            float(c),
+            tau_end * (1.0 + 1e-12) if coarse.status != "tau_max" else tau_max,
+            target=q_target,
+            slope_floor=slope_floor,
+            rtol=Q_RTOL,
+            atol=Q_ATOL,
+            max_step=max(tau_end, 1e-12) / float(min_knots),
         )
-    tau_end = float(coarse.tau[-1])
-    dense = integrate_increasing(
-        rhs,
-        0.0,
-        float(c),
-        tau_end * (1.0 + 1e-12) if coarse.status != "tau_max" else tau_max,
-        target=q_target,
-        slope_floor=slope_floor,
-        rtol=Q_RTOL,
-        atol=Q_ATOL,
-        max_step=max(tau_end, 1e-12) / float(min_knots),
-    )
     return TransformPair(
         mode=mode,
         c=float(c),
         l_exp=le,
         primitive=primitive,
-        tau_knots=dense.tau,
-        q_knots=dense.y,
-        slope_knots=dense.slope,
-        status=dense.status,
-        blow_up_tau=dense.blow_up_tau,
+        tau_knots=run.tau,
+        q_knots=run.y,
+        slope_knots=run.slope,
+        status=run.status,
+        blow_up_tau=run.blow_up_tau,
         target=float(q_target),
     )
 

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import io
 import json
 import os
@@ -448,6 +449,15 @@ class TestReporting:
         parsed = json.loads(s1)
         assert parsed["a"] == [1, 2.25]
 
+    def test_dataclass_serializes_as_its_set_fields(self):
+        @dataclasses.dataclass
+        class Report:
+            value: float
+            point: tuple
+            unset: object = None
+
+        assert json.loads(dumps_json({"r": Report(np.float64(0.5), (1, 2))})) == {"r": {"value": 0.5, "point": [1, 2]}}
+
     def test_table_csv_spells_values_as_format_float(self, tmp_path):
         values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1.0 / 3.0, -2.5e300]
         cols = [values, values[::-1]]
@@ -487,6 +497,102 @@ class TestReporting:
         loaded = read_field_csv(path)
         np.testing.assert_array_equal(loaded.values, values)
         assert loaded.grid.half_width == (2.0, 3.0)
+
+
+def _shift_x(row):
+    t, x, u = row.split(",")
+    return f"{t},{float(x) + 0.5!r},{u}"
+
+
+# Each is read without complaint, or fails with a traceback, unless the reader
+# checks the table against the export of the grid it spans.
+FIELD_CSV_CORRUPTIONS = {
+    "reordered_rows": lambda rows: rows[1:] + rows[:1],
+    "header_only": lambda rows: [],
+    "one_row": lambda rows: rows[:1],
+    "non_numeric_cell": lambda rows: ["0,x,0"] + rows[1:],
+    "off_centre_axis": lambda rows: [_shift_x(r) for r in rows],
+    "extra_column": lambda rows: [r + ",0" for r in rows],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(FIELD_CSV_CORRUPTIONS))
+def test_field_csv_other_than_the_export_is_a_configuration_error(corruption, tmp_path):
+    field = SolutionField(np.random.default_rng(4).normal(size=(4, 5)), GridSpec(1, 2.0, 5, 3, 1.0), variable="U")
+    path = str(tmp_path / "field.csv")
+    write_field_csv(field, path)
+    header, *rows = open(path).read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + FIELD_CSV_CORRUPTIONS[corruption](rows)) + "\n")
+    with pytest.raises(ConfigurationError) as err:
+        read_field_csv(path)
+    assert err.value.details["path"] == path
+
+
+@pytest.mark.parametrize(
+    "flag, value, text",
+    [
+        ("--paths", "1", "1"),
+        ("--paths", "0", "0"),
+        ("--steps", "0", "0"),
+        ("--T", "-1", "-1.0"),
+        ("--window", "1", "1"),
+        ("--window", "a,b", "a,b"),
+    ],
+)
+def test_counterexample_flags_out_of_range_are_rejected(flag, value, text, capsys):
+    assert main(["counterexample", "--paths", "100", "--steps", "10", flag, value]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration_error"
+    assert err["details"] == {"flag": flag, "text": text}
+
+
+def _key_tree(obj):
+    """A JSON object's keys, nested: each object maps its keys to their subtrees."""
+    return {k: _key_tree(v) for k, v in obj.items()} if isinstance(obj, dict) else None
+
+
+Q_KEYS = dict.fromkeys(
+    [
+        "abs_diff", "clamp_flag", "clamp_fraction", "mc_mean", "mc_se", "mode", "n_paths",
+        "n_steps", "pde_value", "price_time", "seed", "x0", "z_score",
+    ]
+)
+PW_KEYS = dict(Q_KEYS, **dict.fromkeys(["max_weight", "weight_ess", "weight_mean", "weight_se"]))
+PRICING_KEYS = {
+    "both": {"q": Q_KEYS, "pw": PW_KEYS, "agreement": dict.fromkeys(["combined_se", "difference", "z_score"])},
+    "q": {"q": Q_KEYS},
+    "pw": {"pw": PW_KEYS},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PRICING_KEYS))
+def test_verify_duality_report_keys(mode, tmp_path):
+    config, out = tmp_path / "bench.ini", tmp_path / "run"
+    config.write_text(BENCH_INI.replace("mode = both", f"mode = {mode}"))
+    assert main(["verify-duality", "--config", str(config), "--out", str(out)]) == 0
+    pricing = json.loads((out / "pricing.json").read_text())
+    assert _key_tree(pricing) == dict(PRICING_KEYS[mode], residual_max=None)
+    summary = json.loads((out / "summary.json").read_text())
+    assert _key_tree(summary["residual"]) == dict.fromkeys(["collar", "max", "mean"])
+    reg = json.loads((out / "regularity.json").read_text())
+    envelope = dict.fromkeys(["amplitude", "max_slack", "offset", "rate"])
+    assert {name: _key_tree(reg[name]) for name in ("envelope_minus", "envelope_plus")} == {
+        "envelope_minus": envelope,
+        "envelope_plus": envelope,
+    }
+
+
+def test_price_and_counterexample_stdout_keys(bench_config, tmp_path, capsys):
+    field_dir = str(tmp_path / "field")
+    assert main(["solve", "--config", bench_config, "--out", field_dir]) == 0
+    for mode, keys in (("q", Q_KEYS), ("pw", PW_KEYS)):
+        capsys.readouterr()
+        assert main(["price", "--config", bench_config, "--field", field_dir, "--paths", "200", "--mode", mode]) == 0
+        assert _key_tree(json.loads(capsys.readouterr().out)) == keys
+    assert main(["counterexample", "--paths", "100", "--steps", "10"]) == 0
+    keys = ["estimate", "expected", "horizon", "n_paths", "n_steps", "se", "seed"]
+    assert _key_tree(json.loads(capsys.readouterr().out)) == dict.fromkeys(keys)
 
 
 class TestCli:
