@@ -23,8 +23,8 @@ from .degeneracy import (
     kernel_basis,
     projection_paths,
 )
-from .errors import ConfigurationError, ContractViolationError, DegenPdeError
-from .montecarlo import make_rng, path_blocks, price_and_compare, simulate
+from .errors import ConfigurationError, DegenPdeError
+from .montecarlo import draw_increments, make_rng, path_blocks, price_and_compare, simulate
 # The stored-field measures (field_sup_norms ... solution_sobolev_norms and
 # residual_field) go unused here; they stay imported because bench/tracing.py
 # wraps each layer's functions under their names in this module.
@@ -200,6 +200,12 @@ def cmd_price(args):
     if cfg.model is None:
         raise ConfigurationError("price needs an mbs model configuration")
     field = _load_field_arg(args.field)
+    # the pricing kernel refuses a field of another variable first
+    for name, value, expected in (("dimension", field.grid.dim, cfg.dim), ("horizon", field.grid.horizon, cfg.horizon)):
+        if field.variable == "U" and value != expected:
+            raise ConfigurationError(
+                f"field {name} does not match the configuration", path=args.field, field=value, config=expected
+            )
     mc = dict(cfg.mc or mc_settings({}, cfg.dim))
     # the flags given pass the [mc] reader's checks
     flags = {key: str(getattr(args, key)) for key in ("paths", "steps", "seed") if getattr(args, key) is not None}
@@ -248,11 +254,8 @@ def cmd_diagnose_regularity(args):
 
 def cmd_diagnose_degeneracy(args):
     cfg = load_config(args.config)
-    sig0 = np.asarray(cfg.sigma(0.0), dtype=float)
-    for t in np.linspace(0.0, cfg.horizon, 9):
-        if not np.allclose(np.asarray(cfg.sigma(t), dtype=float), sig0, atol=1e-12):
-            raise ContractViolationError("degeneracy diagnostics need constant sigma")
-    decomp = kernel_basis(sig0)
+    # the config builds only constant volatility
+    decomp = kernel_basis(cfg.sigma.matrix)
     mc = cfg.mc or mc_settings({}, cfg.dim)
     n_paths, n_steps, seed = mc["paths"], mc["steps"], mc["seed"]
     report = {
@@ -266,7 +269,7 @@ def cmd_diagnose_degeneracy(args):
     }
     if decomp.m > 0:
         x0 = np.asarray(mc["x0"])
-        d_noise = sig0.shape[1]
+        d_noise = cfg.sigma.matrix.shape[1]
         times = np.linspace(0.0, cfg.horizon, n_steps + 1)
         # simulate(seed=seed)'s draw, taken in blocks that keep only each
         # path's quadratic variation and terminal projection; the check then
@@ -277,8 +280,7 @@ def cmd_diagnose_degeneracy(args):
         # projection's pi, drift and residual
         width = d_noise + cfg.dim + 3 * decomp.m
         for lo, hi in path_blocks(n_paths, n_steps, width):
-            incs = rng.standard_normal((hi - lo, n_steps, d_noise))
-            incs *= np.sqrt(cfg.horizon / n_steps)
+            incs = draw_increments(rng, hi - lo, n_steps, d_noise, cfg.horizon / n_steps)
             ens = simulate(
                 cfg.sigma, cfg.mu, x0, 0.0, cfg.horizon, n_steps, hi - lo, measure="P", increments=incs
             )

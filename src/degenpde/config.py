@@ -188,6 +188,15 @@ def resolve_family(slot, spec, dim=None):
     return fn, {"family": name, **params}
 
 
+def _floats(value):
+    """Every float in a parsed value, inside lists, tuples and dict values too."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [f for v in value for f in _floats(v)]
+    return [value] if isinstance(value, float) else []
+
+
 class _Reader:
     """Reads ``[section] key`` values and records each in ``manifest``.
 
@@ -205,22 +214,25 @@ class _Reader:
         is absent; with ``default`` None the key is required.
 
         A ValueError from ``parse`` becomes a ConfigurationError naming the
-        section, key and text. A family parse gives ``(fn, params)``: the
-        params are recorded and fn returned.
+        section, key and text, and so does a NaN anywhere in the value, or an
+        infinity outside ``[model] domain_interval``. A family parse gives
+        ``(fn, params)``: the params are recorded and fn returned.
         """
         self.resolved.add((section, key))
         text = self.sections[section].get(key, default) if section in self.sections else default
         if text is None:
             raise ConfigurationError("missing configuration key", section=section, key=key)
         try:
-            value = parse(text.strip())
+            value = record = parse(text.strip())
+            if isinstance(value, tuple) and callable(value[0]):
+                value, record = value
+            for v in _floats(record):
+                if np.isnan(v) or (np.isinf(v) and (section, key) != ("model", "domain_interval")):
+                    raise ValueError(f"{v} is not a finite number")
         except ValueError as exc:
             raise ConfigurationError(
                 f"cannot read [{section}] {key}: {exc}", section=section, key=key, text=text
             ) from None
-        record = value
-        if isinstance(value, tuple) and callable(value[0]):
-            value, record = value
         self.manifest.setdefault(section, {})[key] = record
         return value
 

@@ -13,11 +13,10 @@ simulation) or reweights physical paths by the stochastic exponential
 whose weights have unit mean. The discounted payoff integrates
 (tau - r(T-s)) exp(-int_t^s r(T-k) dk) h(X_s, T-s) along each path; its Monte
 Carlo mean under either mode is compared against the grid solution U(x0, T-t).
-Pricing streams the paths: one time loop carries O(paths) state per measure
-and accumulates the payoff and the log-weight as it goes.
+Pricing streams the paths: one time loop takes sigma and xi once per step and
+carries each measure's O(paths) state, payoff, log-weight and clamp tally.
 """
 
-import copy
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -70,6 +69,13 @@ def make_rng(seed, stream=None):
     return np.random.Generator(np.random.Philox(ss))
 
 
+def draw_increments(rng, n_paths, n_steps, d_noise, ds):
+    """Brownian increments of shape (n_paths, n_steps, d_noise) over steps ds."""
+    incs = rng.standard_normal((n_paths, n_steps, d_noise))
+    incs *= np.sqrt(ds)
+    return incs
+
+
 @dataclass
 class PathEnsemble:
     """Simulated paths with retained driving increments and measure tag."""
@@ -92,8 +98,8 @@ class GradientInterpolant:
     """Multilinear space-time interpolation of a field and its gradient.
 
     Sampling a grid node reproduces the stored value exactly; points outside
-    the box (or the time range) are clamped to the nearest face and counted,
-    since paths may leave the truncated domain.
+    the box (or the time range) are clamped to the nearest face, since paths
+    may leave the truncated domain, and each evaluation returns their count.
     """
 
     def __init__(self, field):
@@ -115,8 +121,6 @@ class GradientInterpolant:
         self._spacings = [np.diff(a) for a in grid.axes]
         self._time_list = [float(t) for t in field.times]
         self._rows = self._term = None
-        self.clamped_evaluations = 0
-        self.total_evaluations = 0
 
     def _locate(self, coords, i):
         # fractions come from the stored axis entries so that querying a grid
@@ -141,7 +145,7 @@ class GradientInterpolant:
         return k, min(max(frac, 0.0), 1.0), theta < times[0] or theta > times[-1]
 
     def evaluate(self, x, theta):
-        """Interpolated (value, gradient) arrays at points x and time theta.
+        """Interpolated (value, gradient, clamped count) at points x and time theta.
 
         The two time slices around theta are laid out per grid cell (corner,
         slice, value and gradient), and one gather reads every point's cell.
@@ -150,7 +154,6 @@ class GradientInterpolant:
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n_pts = x.shape[0]
-        self.total_evaluations += n_pts
         kt, wt, t_clamped = self._locate_time(float(theta))
 
         cell, fracs, clamped_any = 0, [], False
@@ -159,7 +162,7 @@ class GradientInterpolant:
             cell = cell * self._cells[i] + idx
             fracs.append(frac)
             clamped_any = clamped_any | cl
-        self.clamped_evaluations += n_pts if t_clamped else int(np.count_nonzero(clamped_any))
+        n_clamped = n_pts if t_clamped else int(np.count_nonzero(clamped_any))
 
         slab = self._table[kt : kt + 2]
         n_corners, n_comp = len(self._corners), 1 + self.dim
@@ -183,7 +186,7 @@ class GradientInterpolant:
                     continue
                 np.multiply(t_weight * weight, rows[c, k_off], out=term)
                 out += term
-        return out[0], np.ascontiguousarray(out[1:].T)
+        return out[0], np.ascontiguousarray(out[1:].T), n_clamped
 
     def _buffers(self, shape):
         # the gathered rows and one term, kept between calls: allocated
@@ -192,11 +195,6 @@ class GradientInterpolant:
         if self._rows is None or self._rows.shape != shape:
             self._rows, self._term = np.empty(shape), np.empty(shape[2:])
         return self._rows, self._term
-
-    def clamp_fraction(self):
-        if self.total_evaluations == 0:
-            return 0.0
-        return self.clamped_evaluations / self.total_evaluations
 
 
 class PricingKernel:
@@ -208,31 +206,21 @@ class PricingKernel:
         self.model = model
         self.sigma = sigma
         self.interp = GradientInterpolant(field)
-        self.xi, self.discount = discount_and_xi(model)
+        self.xi = discount_and_xi(model)[0]
         self.floor = POSITIVITY_FLOOR_REL * float(self.xi(0.0))
-        self.horizon = model.horizon
-
-    def price_value(self, x, theta):
-        """Price variable U at (x, theta) in equation time."""
-        return self.interp.evaluate(x, theta)[0]
-
-    def counting_copy(self):
-        """Copy sharing the interpolation tables but counting clamps apart."""
-        twin = copy.copy(self)
-        twin.interp = copy.copy(self.interp)
-        return twin
 
     def gamma(self, x, s, step=None):
         """Kernel at path states x and forward time s (theta = T - s)."""
-        return self.gamma_and_principal(x, s, step=step)[0]
-
-    def gamma_and_principal(self, x, s, step=None):
-        """Kernel and principal h at path states x and forward time s."""
-        theta = self.horizon - s
+        theta = self.model.horizon - s
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        u_val, grad = self.interp.evaluate(x, theta)
+        sig = np.asarray(self.sigma(theta), dtype=float)
+        return self.gamma_and_principal(x, theta, sig, float(self.xi(theta)), step)[0]
+
+    def gamma_and_principal(self, x, theta, sig, xi_t, step=None):
+        """Kernel, principal h and clamped count at 2-D states x, given sigma(theta) and xi(theta)."""
+        u_val, grad, n_clamped = self.interp.evaluate(x, theta)
         h_val = self.model.principal_h(x, theta)
-        denom = u_val + h_val + float(self.xi(theta))
+        denom = u_val + h_val + xi_t
         if np.any(denom < self.floor):
             bad = int(np.argmin(denom))
             raise DegeneracyError(
@@ -242,8 +230,7 @@ class PricingKernel:
                 value=float(denom[bad]),
                 floor=self.floor,
             )
-        sig = np.asarray(self.sigma(theta), dtype=float)
-        return self.model.rho * (grad @ sig) / denom[:, None], h_val
+        return self.model.rho * (grad @ sig) / denom[:, None], h_val, n_clamped
 
 
 def simulate(
@@ -276,8 +263,7 @@ def simulate(
     ds = (horizon - t0) / n_steps
     d_noise = np.asarray(sigma(0.0)).shape[1]
     if increments is None:
-        rng = make_rng(seed)
-        increments = rng.standard_normal((n_paths, n_steps, d_noise)) * np.sqrt(ds)
+        increments = draw_increments(make_rng(seed), n_paths, n_steps, d_noise, ds)
     else:
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n_paths, n_steps, d_noise):
@@ -290,13 +276,11 @@ def simulate(
         s = times[k]
         theta = horizon - s
         x = states[:, k, :]
+        sig_t = np.asarray(sigma(theta), dtype=float).T
         drift = np.asarray(mu(x, theta), dtype=float)
         if measure == "Q":
-            gam = kernel.gamma(x, s, step=k)
-            drift = drift - gam @ np.asarray(sigma(theta), dtype=float).T
-        states[:, k + 1, :] = x + drift * ds + increments[:, k, :] @ np.asarray(
-            sigma(theta), dtype=float
-        ).T
+            drift = drift - kernel.gamma(x, s, step=k) @ sig_t
+        states[:, k + 1, :] = x + drift * ds + increments[:, k, :] @ sig_t
     return PathEnsemble(states=states, increments=increments, times=times, measure=measure)
 
 
@@ -314,6 +298,13 @@ def girsanov_log_weight(ensemble, kernel):
     return log_w
 
 
+def payoff_rate(model, t0, times):
+    """(tau - r(T-s)) D(t0, s) at forward times s: the payoff rate per unit principal."""
+    T = model.horizon
+    rates = np.asarray([float(model.rate_r(T - s)) for s in times])
+    return (model.coupon_tau - rates) * np.asarray(discount_and_xi(model)[1](t0, times), dtype=float)
+
+
 def payoff_discounted(states, times, model, t0=None):
     """Trapezoidal discounted principal payoff along one path or a batch.
 
@@ -326,12 +317,9 @@ def payoff_discounted(states, times, model, t0=None):
     times = np.asarray(times, dtype=float)
     if t0 is None:
         t0 = float(times[0])
-    _, discount = discount_and_xi(model)
     T = model.horizon
-    disc = np.asarray(discount(t0, times), dtype=float)
-    rates = np.asarray([float(model.rate_r(T - s)) for s in times])
     h_vals = np.stack([model.principal_h(states[:, k, :], T - times[k]) for k in range(len(times))], axis=1)
-    integrand = (model.coupon_tau - rates)[None, :] * disc[None, :] * h_vals
+    integrand = payoff_rate(model, t0, times)[None, :] * h_vals
     values = np.trapezoid(integrand, times, axis=1)
     return float(values[0]) if single else values
 
@@ -343,21 +331,21 @@ class PathSums:
     state: np.ndarray  # (n_paths, N)
     payoff: np.ndarray  # (n_paths,) trapezoidal discounted payoff
     log_weight: Optional[np.ndarray]  # (n_paths,) log dQ/dP under P; None under Q
+    clamped: int = 0  # path evaluations the interpolant clamped to its box
 
 
-def stream_paths(kernels, mu, x0, t0, increments):
+def stream_paths(kernel, measures, mu, x0, t0, increments):
     """Price paths in one Euler-Maruyama time loop with O(paths) state.
 
-    ``kernels`` maps "Q" (tilted drift mu - sigma gamma) and/or "P" (physical
-    drift, Girsanov-reweighted) to a PricingKernel; both measures are driven
-    by the same ``increments`` of shape (n_paths, n_steps, d). Each step
-    evaluates gamma and h once per measure, adds the trapezoid term of the
-    discounted payoff and, under P, subtracts gamma . dW + 1/2 |gamma|^2 ds
-    from the log-weight. The states and log-weights equal those of
-    ``simulate`` and ``girsanov_log_weight`` bit for bit; the payoffs equal
-    ``payoff_discounted`` up to the order of summation.
+    ``measures`` holds "Q" (tilted drift mu - sigma gamma) and/or "P"
+    (physical drift, Girsanov-reweighted), both driven by ``increments`` of
+    shape (n_paths, n_steps, d) and priced with ``kernel``. Each step takes
+    sigma and xi once, then gamma and h once per measure, adds the trapezoid
+    term of the discounted payoff and, under P, subtracts gamma . dW +
+    1/2 |gamma|^2 ds from the log-weight. The states and log-weights equal
+    those of ``simulate`` and ``girsanov_log_weight`` bit for bit; the
+    payoffs equal ``payoff_discounted`` up to the order of summation.
     """
-    kernel = next(iter(kernels.values()))
     model, sigma = kernel.model, kernel.sigma
     T = model.horizon
     n_paths, n_steps, _ = increments.shape
@@ -367,8 +355,7 @@ def stream_paths(kernels, mu, x0, t0, increments):
     ds = (T - t0) / n_steps
     ds_weight = times[1] - times[0]
     dt = np.diff(times)
-    rates = np.asarray([float(model.rate_r(T - s)) for s in times])
-    coef = (model.coupon_tau - rates) * np.asarray(kernel.discount(t0, times), dtype=float)
+    coef = payoff_rate(model, t0, times)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     sums = {
         m: PathSums(
@@ -376,7 +363,7 @@ def stream_paths(kernels, mu, x0, t0, increments):
             payoff=np.zeros(n_paths),
             log_weight=np.zeros(n_paths) if m == "P" else None,
         )
-        for m in kernels
+        for m in measures
     }
     integrand = {}
 
@@ -387,19 +374,19 @@ def stream_paths(kernels, mu, x0, t0, increments):
         integrand[m] = y
 
     for k in range(n_steps):
-        s = times[k]
-        theta = T - s
-        sig_t = np.asarray(sigma(theta), dtype=float).T
+        theta = T - times[k]
+        sig = np.asarray(sigma(theta), dtype=float)
+        xi_t = float(kernel.xi(theta))
         dw = increments[:, k, :]
-        noise = dw @ sig_t
-        for m, kern in kernels.items():
-            ps = sums[m]
+        noise = dw @ sig.T
+        for m, ps in sums.items():
             x = ps.state
-            gam, h_val = kern.gamma_and_principal(x, s, step=k)
+            gam, h_val, n_clamped = kernel.gamma_and_principal(x, theta, sig, xi_t, step=k)
+            ps.clamped += n_clamped
             add_integrand(m, k, h_val)
             drift = np.asarray(mu(x, theta), dtype=float)
             if m == "Q":
-                drift = drift - gam @ sig_t
+                drift = drift - gam @ sig.T
             else:
                 ps.log_weight -= np.sum(gam * dw, axis=1) + 0.5 * np.sum(gam * gam, axis=1) * ds_weight
             ps.state = x + drift * ds + noise
@@ -494,7 +481,7 @@ def price_and_compare(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     grid = field.grid
     for xi_c, r, dxi in zip(x0, grid.half_width, grid.dx):
-        if abs(xi_c) > r - dxi:
+        if not abs(xi_c) <= r - dxi:
             raise ExtrapolationError(
                 "pricing point must lie inside the interior of the grid box",
                 x0=tuple(x0),
@@ -505,10 +492,10 @@ def price_and_compare(
         raise ContractViolationError("price time outside [0, T]", price_time=price_time)
 
     kernel = PricingKernel(model, field, sigma)
-    pde_value = float(kernel.price_value(x0[None, :], theta0)[0])
+    pde_value = float(kernel.interp.evaluate(x0[None, :], theta0)[0][0])
     measures = {"q": "Q", "pw": "P"}
     modes = ("q", "pw") if mode == "both" else (mode,)
-    kernels = {measures[m]: kernel.counting_copy() for m in modes}
+    run = [measures[m] for m in modes]
 
     d_noise = np.asarray(sigma(0.0)).shape[1]
     ds = (model.horizon - price_time) / n_steps
@@ -517,19 +504,17 @@ def price_and_compare(
         batch = min(chunk_size, n_paths - start)
         rng = make_rng(seed, stream)
         for lo, hi in path_blocks(batch, n_steps, d_noise):
-            incs = rng.standard_normal((hi - lo, n_steps, d_noise))
-            incs *= np.sqrt(ds)
+            incs = draw_increments(rng, hi - lo, n_steps, d_noise, ds)
             try:
-                blocks.append(stream_paths(kernels, mu, x0, price_time, incs))
+                blocks.append(stream_paths(kernel, run, mu, x0, price_time, incs))
             except DegeneracyError:
                 if hi - lo == batch:
                     raise
                 # a later block may fail at an earlier step: replay the chunk
                 # in one block so that the error names the path and step of
                 # the whole chunk
-                incs = make_rng(seed, stream).standard_normal((batch, n_steps, d_noise))
-                incs *= np.sqrt(ds)
-                stream_paths(kernels, mu, x0, price_time, incs)
+                incs = draw_increments(make_rng(seed, stream), batch, n_steps, d_noise, ds)
+                stream_paths(kernel, run, mu, x0, price_time, incs)
                 raise
             del incs  # free this block's noise before the next one is drawn
 
@@ -551,7 +536,7 @@ def price_and_compare(
         mc_se = float(np.std(sample, ddof=1) / np.sqrt(len(sample)))
         diff = abs(mc_mean - pde_value)
         z = diff / mc_se if mc_se > 0.0 else (0.0 if diff == 0.0 else np.inf)
-        clamp_fraction = kernels[meas].interp.clamp_fraction()
+        clamp_fraction = sum(b[meas].clamped for b in blocks) / (n_paths * n_steps)
         reports[m] = PricingReport(
             mode=m,
             mc_mean=mc_mean,

@@ -411,6 +411,63 @@ def test_price_flags_below_their_floor_are_rejected(flag, value, bench_config, t
     assert err["details"] == {"section": "mc", "key": flag[2:], "text": value}
 
 
+@pytest.mark.parametrize(
+    "section, key, text",
+    [
+        ("model", "coupon_tau", "nan"),
+        ("model", "coupon_tau", "inf"),
+        ("model", "horizon", "nan"),
+        ("model", "horizon", "inf"),
+        ("model", "rate", "constant:nan"),
+        ("model", "principal", "gaussian_bump:amplitude=nan"),
+        ("model", "sigma", "constant:-inf"),
+        ("model", "value_interval", "-0.5,nan"),
+        ("grid", "half_width", "inf"),
+        ("mc", "x0", "nan"),
+    ],
+)
+def test_non_finite_value_names_its_key(section, key, text, tmp_path, capsys):
+    parser = configparser.ConfigParser()
+    parser.read_string(BENCH_INI)
+    parser.set(section, key, text)
+    ini = io.StringIO()
+    parser.write(ini)
+    assert _failed_solve(tmp_path, capsys, ini.getvalue()) == {"section": section, "key": key, "text": text}
+
+
+def test_domain_interval_alone_may_be_infinite(tmp_path, capsys):
+    # the default is -inf,inf; a NaN endpoint is still refused
+    path = tmp_path / "general.ini"
+    path.write_text(GENERAL_INI.replace("[model]\n", "[model]\ndomain_interval = -inf,inf\n"))
+    assert load_config(str(path)).manifest["model"]["domain_interval"] == (-np.inf, np.inf)
+    ini = GENERAL_INI.replace("[model]\n", "[model]\ndomain_interval = nan,inf\n")
+    assert _failed_solve(tmp_path, capsys, ini) == {"section": "model", "key": "domain_interval", "text": "nan,inf"}
+
+
+@pytest.mark.parametrize(
+    "edits, name, field, config",
+    [
+        ([("dim = 1", "dim = 2"), ("sigma = constant:1", "sigma = constant:0;1")], "dimension", 1, 2),
+        ([("horizon = 1.0", "horizon = 2.0")], "horizon", 1.0, 2.0),
+    ],
+)
+def test_price_rejects_a_field_of_another_dimension_or_horizon(edits, name, field, config, bench_config, tmp_path, capsys):
+    # the 1-D field of the bench config, priced under a 2-D or a longer model
+    field_dir = str(tmp_path / "field")
+    assert main(["solve", "--config", bench_config, "--out", field_dir]) == 0
+    ini = BENCH_INI
+    for old, new in edits:
+        ini = ini.replace(old, new)
+    other = tmp_path / "other.ini"
+    other.write_text(ini)
+    capsys.readouterr()
+    assert main(["price", "--config", str(other), "--field", field_dir, "--paths", "100"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration_error"
+    assert name in err["message"]
+    assert err["details"] == {"path": field_dir, "field": field, "config": config}
+
+
 # The golden-manifest configs load in test_manifest_matches_its_golden_file.
 @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(REPO, "configs"))))
 def test_shipped_configs_resolve_every_key(name):

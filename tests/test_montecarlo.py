@@ -159,7 +159,7 @@ class TestInterpolant:
         interp = GradientInterpolant(heat_setup["field"])
         grid = heat_setup["grid"]
         xs = grid.axes[0][5:15][:, None]
-        vals, _ = interp.evaluate(xs, grid.times[7])
+        vals, _, _ = interp.evaluate(xs, grid.times[7])
         np.testing.assert_array_equal(vals, heat_setup["field"].values[7][5:15])
 
     def test_interpolant_within_slice_bounds(self, heat_setup):
@@ -167,7 +167,7 @@ class TestInterpolant:
         rng = np.random.default_rng(4)
         xs = rng.uniform(-8, 8, size=(500, 1))
         theta = 0.37
-        vals, _ = interp.evaluate(xs, theta)
+        vals, _, _ = interp.evaluate(xs, theta)
         lo = heat_setup["field"].values.min()
         hi = heat_setup["field"].values.max()
         assert np.all(vals >= lo - 1e-12) and np.all(vals <= hi + 1e-12)
@@ -175,9 +175,7 @@ class TestInterpolant:
     def test_out_of_box_clamp_counted(self, heat_setup):
         interp = GradientInterpolant(heat_setup["field"])
         xs = np.array([[9.5], [0.0], [-12.0]])
-        interp.evaluate(xs, 0.1)
-        assert interp.clamped_evaluations == 2
-        assert interp.total_evaluations == 3
+        assert interp.evaluate(xs, 0.1)[2] == 2
 
     def test_positivity_floor_raises(self):
         model = make_benchmark_model()
@@ -234,6 +232,15 @@ class TestPriceAndCompare:
                 n_paths=100,
                 n_steps=10,
                 seed=1,
+            )
+
+    def test_nan_pricing_point_refused(self, bench_setup):
+        # a NaN coordinate fails every comparison, so the interior test is
+        # written to refuse it
+        with pytest.raises(ExtrapolationError):
+            price_and_compare(
+                bench_setup["model"], bench_setup["field"], bench_setup["sigma"], bench_setup["mu"],
+                x0=[np.nan], n_paths=100, n_steps=10, seed=1,
             )
 
     def test_unknown_mode_rejected(self, bench_setup):
@@ -307,8 +314,7 @@ class TestStreamedPass:
         )
 
     def stream(self, shared, measures):
-        kernels = {m: shared["kernel"].counting_copy() for m in measures}
-        return stream_paths(kernels, shared["mu"], [0.3], self.T0, shared["incs"])
+        return stream_paths(shared["kernel"], measures, shared["mu"], [0.3], self.T0, shared["incs"])
 
     def test_pw_log_weights_bitwise(self, shared):
         ens = self.simulate(shared, "P")
@@ -415,8 +421,8 @@ class TestNoiseBlocks:
         blocks = []
         real = montecarlo.stream_paths
 
-        def recording(kernels, mu, x0, t0, increments):
-            blocks.append(real(kernels, mu, x0, t0, increments))
+        def recording(kernel, measures, mu, x0, t0, increments):
+            blocks.append(real(kernel, measures, mu, x0, t0, increments))
             return blocks[-1]
 
         monkeypatch.setattr(montecarlo, "stream_paths", recording)
@@ -437,8 +443,7 @@ class TestNoiseBlocks:
             batch = min(chunk, n_paths - start)
             incs = make_rng(seed, stream).standard_normal((batch, self.N_STEPS, d))
             incs *= np.sqrt((1.0 - 0.1) / self.N_STEPS)
-            kernels = {m: kernel.counting_copy() for m in ("Q", "P")}
-            out.append(stream_paths(kernels, setup["mu"], setup["x0"], 0.1, incs))
+            out.append(stream_paths(kernel, ("Q", "P"), setup["mu"], setup["x0"], 0.1, incs))
         return out
 
     @pytest.mark.parametrize(
@@ -506,7 +511,7 @@ class TestNoiseBlocks:
         assert not {"weight_ess", "max_weight"} & set(json.loads(dumps_json(q)))
 
 
-def test_clamp_flag_raised_when_paths_leave_small_box(bench_setup):
+def _small_box_pricing(bench_setup, mode):
     # a narrow grid box forces many path evaluations onto the clamped faces
     from degenpde.model import mbs_price_problem
     from degenpde.solver import solve
@@ -517,11 +522,58 @@ def test_clamp_flag_raised_when_paths_leave_small_box(bench_setup):
     problem = mbs_price_problem(model, sigma, mu, value_interval=(-0.5, 1.5))
     grid = stability_grid(1, 1.5, 61, 1.0, problem)
     field = solve(problem, lambda mesh: np.zeros(mesh.shape[:-1]), grid)
-    rep = price_and_compare(
-        model, field, sigma, mu, x0=[0.0], n_paths=4000, n_steps=100, seed=6, mode="q"
+    return price_and_compare(
+        model, field, sigma, mu, x0=[0.0], n_paths=4000, n_steps=100, seed=6, mode=mode
     )
+
+
+def test_clamp_flag_raised_when_paths_leave_small_box(bench_setup):
+    rep = _small_box_pricing(bench_setup, "q")
     assert rep.clamp_fraction > 0.01
     assert rep.clamp_flag
+
+
+def test_both_mode_tallies_clamps_per_measure(bench_setup):
+    # the tilted and the physical paths leave the box at different points,
+    # and each measure's tally must be its own
+    dual = _small_box_pricing(bench_setup, "both")
+    for mode in ("q", "pw"):
+        frac = getattr(dual, mode).clamp_fraction
+        assert frac > 0.0
+        assert frac == _small_box_pricing(bench_setup, mode).clamp_fraction
+    assert dual.q.clamp_fraction != dual.pw.clamp_fraction
+
+
+@pytest.mark.parametrize("mode", ["q", "pw", "both"])
+def test_sigma_and_xi_evaluated_once_per_step(mode, bench_setup, monkeypatch):
+    # one sigma for the noise width and one xi for the positivity floor, then
+    # one of each per Euler step of the one block, whatever the measures
+    calls = {"sigma": 0, "xi": 0}
+    sigma = bench_setup["sigma"]
+
+    def counted_sigma(t):
+        calls["sigma"] += 1
+        return sigma(t)
+
+    real = montecarlo.discount_and_xi
+
+    def counted_discount_and_xi(model):
+        xi, discount = real(model)
+
+        def counted_xi(t):
+            calls["xi"] += 1
+            return xi(t)
+
+        return counted_xi, discount
+
+    monkeypatch.setattr(montecarlo, "discount_and_xi", counted_discount_and_xi)
+    n_paths, n_steps = 300, 40
+    assert len(list(montecarlo.path_blocks(n_paths, n_steps, 1))) == 1
+    price_and_compare(
+        bench_setup["model"], bench_setup["field"], counted_sigma, bench_setup["mu"], x0=[0.0],
+        n_paths=n_paths, n_steps=n_steps, seed=2, mode=mode,
+    )
+    assert calls == {"sigma": 1 + n_steps, "xi": 1 + n_steps}
 
 
 @pytest.mark.parametrize("variant", ["zero_principal", "rate_equals_coupon"])
