@@ -346,6 +346,7 @@ def cmd_counterexample(args):
     for flag, value, ok, rule in (
         ("--paths", args.paths, args.paths >= 2, "at least 2"),
         ("--steps", args.steps, args.steps >= 1, "at least 1"),
+        ("--seed", args.seed, args.seed >= 0, "at least 0"),
         ("--T", args.T, 0.0 < args.T < np.inf, "positive and finite"),
     ):
         if not ok:

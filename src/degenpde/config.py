@@ -6,8 +6,11 @@ parameters, e.g. ``rate = constant:0.03`` or
 use semicolons between rows and spaces between entries
 (``sigma = constant:0;1`` is the 2x1 column). Every key is read through one
 checked reader that records the resolved value in the manifest; a section or
-key that no reader resolves stops the load. The grid stability bound is
-enforced at load.
+key that no reader resolves stops the load. The parse functions, family
+builders included, refuse malformed text and values out of the range the
+program can use with a ValueError, which the reader turns into the one
+ConfigurationError naming the section, key and text. The grid stability
+bound is enforced at load.
 """
 
 import configparser
@@ -57,8 +60,11 @@ def parse_family(spec):
 def _parse_interval(text):
     parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigurationError("interval needs two endpoints", text=text)
-    return tuple(float(p) for p in parts)
+        raise ValueError("an interval needs two endpoints lo,hi")
+    lo, hi = (float(p) for p in parts)
+    if not lo < hi:
+        raise ValueError(f"the interval needs lo < hi, not {lo} >= {hi}")
+    return lo, hi
 
 
 def _parse_vector(text, dim):
@@ -66,7 +72,7 @@ def _parse_vector(text, dim):
     if len(vals) == 1:
         vals = vals * dim
     if len(vals) != dim:
-        raise ConfigurationError("vector length does not match dimension", text=text, dim=dim)
+        raise ValueError(f"{len(vals)} entries; give one per dimension ({dim}) or one for all")
     return vals
 
 
@@ -77,23 +83,17 @@ def _parse_bool(text):
     return states[text.lower()]
 
 
-def _at_least(low):
-    def parse(text):
-        value = int(text)
-        if value < low:
-            raise ValueError(f"{value} is below {low}")
+def _checked(parse, ok, rule):
+    """``parse``, refusing a parsed value for which ``ok`` is false; ``rule``
+    says in words which values pass."""
+
+    def checked(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"{value!r} is not {rule}")
         return value
 
-    return parse
-
-
-def _one_of(*choices):
-    def parse(text):
-        if text not in choices:
-            raise ValueError(f"{text!r} is not one of {', '.join(choices)}")
-        return text
-
-    return parse
+    return checked
 
 
 def _or_auto(parse):
@@ -103,18 +103,16 @@ def _or_auto(parse):
 def _sigma(spec, dim):
     name, _, rest = spec.partition(":")
     if name.strip() != "constant":
-        raise ConfigurationError("only constant volatility families are built in", family=name.strip())
+        raise ValueError(f"unknown volatility family {name.strip()!r}; only constant is built in")
     rows = [r for r in rest.split(";") if r.strip()]
     matrix = np.asarray([[float(v) for v in row.split()] for row in rows]) if rest else np.eye(dim)
-    if matrix.shape[0] != dim:
-        raise ConfigurationError("sigma rows must match dimension", shape=matrix.shape, dim=dim)
+    if matrix.ndim != 2 or matrix.shape[0] != dim or matrix.shape[1] > dim:
+        raise ValueError(f"sigma must be {dim} x d with 1 <= d <= {dim}, not of shape {matrix.shape}")
     return fam.constant_sigma(matrix), {"family": "constant", "matrix": matrix.tolist()}
 
 
 def _piecewise_rate(pos, kw, dim):
-    if not kw:
-        raise ConfigurationError("piecewise rate needs break=value pairs")
-    if pos:
+    if pos or not kw:
         raise ValueError("piecewise takes only break=value pairs")
     breaks = sorted(float(k) for k in kw)
     values = [kw[k] for k in sorted(kw, key=float)]
@@ -170,7 +168,7 @@ def resolve_family(slot, spec, dim=None):
     name, pos, kw = parse_family(spec)
     noun, table = FAMILIES[slot]
     if name not in table:
-        raise ConfigurationError(f"unknown {noun} family", family=name)
+        raise ValueError(f"unknown {noun} family {name!r}")
     builder, defaults = table[name]
     if defaults is None:
         return builder(pos, kw, dim)
@@ -209,7 +207,7 @@ class _Reader:
         self.manifest = {}
         self.resolved = set()
 
-    def __call__(self, section, key, default, parse=float):
+    def __call__(self, section, key, default, parse):
         """The parsed text of ``[section] key``, or of ``default`` when the key
         is absent; with ``default`` None the key is required.
 
@@ -253,20 +251,21 @@ def mc_settings(raw, dim):
 
     ``raw`` is the ``[mc]`` section or any mapping with ``get(key, default)``;
     the defaults here are the only ones, so ``mc_settings({}, dim)`` gives
-    the settings of a config without ``[mc]``.
+    the settings of a config without ``[mc]``. Without a horizon,
+    ``price_time`` needs only to be at least 0.
     """
-    return _read_mc(_Reader({"mc": raw}), dim)
+    return _read_mc(_Reader({"mc": raw}), dim, np.inf)
 
 
-def _read_mc(read, dim):
+def _read_mc(read, dim, horizon):
     # two paths give a standard error, one step a path
-    read("mc", "paths", "100000", _at_least(2))
-    read("mc", "steps", "500", _at_least(1))
-    read("mc", "seed", "0", int)
-    read("mc", "mode", "both", _one_of("q", "pw", "both"))
+    read("mc", "paths", "100000", _checked(int, lambda n: n >= 2, "at least 2"))
+    read("mc", "steps", "500", _checked(int, lambda n: n >= 1, "at least 1"))
+    read("mc", "seed", "0", _checked(int, lambda n: n >= 0, "at least 0"))
+    read("mc", "mode", "both", _checked(str, ("q", "pw", "both").__contains__, "q, pw or both"))
     read("mc", "x0", "0.0", lambda text: _parse_vector(text, dim))
-    read("mc", "price_time", "0.0")
-    read("mc", "chunk", "50000", _at_least(1))
+    read("mc", "price_time", "0.0", _checked(float, lambda t: 0.0 <= t <= horizon, f"in [0, {horizon}]"))
+    read("mc", "chunk", "50000", _checked(int, lambda n: n >= 1, "at least 1"))
     return read.manifest["mc"]
 
 
@@ -298,11 +297,12 @@ def load_config(path):
     if not parser.has_section("model"):
         raise ConfigurationError("configuration needs a [model] section", path=path)
     read = _Reader(parser)
-    kind = read("model", "kind", "mbs", str)
-    dim = read("model", "dim", "1", int)
+    positive = _checked(float, lambda v: v > 0.0, "positive")
+    kind = read("model", "kind", "mbs", _checked(str, ("mbs", "general").__contains__, "mbs or general"))
+    dim = read("model", "dim", "1", _checked(int, (1, 2, 3).__contains__, "1, 2 or 3"))
     scalar_field = lambda text: resolve_family("field", text, dim)
     ufunc = lambda text: resolve_family("ufunc", text)
-    horizon = read("model", "horizon", "1.0")
+    horizon = read("model", "horizon", "1.0", positive)
     sigma = read("model", "sigma", "constant:1", lambda text: _sigma(text, dim))
     mu = read("model", "mu", "zero", lambda text: resolve_family("drift", text, dim))
     # an mbs model has no default: -1 + xi(0) = 0 puts U + h + xi at zero
@@ -312,8 +312,8 @@ def load_config(path):
     model = None
     if kind == "mbs":
         model = MbsModel(
-            rho=read("model", "rho", "0.5"),
-            coupon_tau=read("model", "coupon_tau", "0.06"),
+            rho=read("model", "rho", "0.5", _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+            coupon_tau=read("model", "coupon_tau", "0.06", positive),
             rate_r=read("model", "rate", "constant:0.03", lambda text: resolve_family("rate", text)),
             principal_h=read("model", "principal", "gaussian_bump:amplitude=1,center=0,width=1,ramp=3", scalar_field),
             horizon=horizon,
@@ -321,7 +321,7 @@ def load_config(path):
         )
         problem = mbs_price_problem(model, sigma, mu, value_interval)
         read.manifest["model"]["marched_variable"] = "U"
-    elif kind == "general":
+    else:
         lam = read("model", "lambda", "zero", ufunc)
         eta = read("model", "eta", "zero", ufunc)
         domain = read("model", "domain_interval", "-inf,inf", _parse_interval)
@@ -357,18 +357,15 @@ def load_config(path):
         )
         problem = coeffs.as_problem()
         read.manifest["model"]["marched_variable"] = "u"
-    else:
-        raise ConfigurationError("unknown model kind", kind=kind)
 
-    half_width = read("grid", "half_width", "8.0")
-    nodes = read("grid", "nodes", "401", int)
-    theta = read("grid", "theta", str(DEFAULT_THETA))
-    if not 0.0 < theta <= DEFAULT_THETA:
-        raise ConfigurationError(
-            "stability safety factor must lie in (0, 0.45]", theta=theta
-        )
-    collar = read("grid", "collar", "4", int)
-    steps = read("grid", "steps", "auto", _or_auto(int))
+    half_width = read("grid", "half_width", "8.0", positive)
+    nodes = read("grid", "nodes", "401", _checked(int, lambda n: n >= 5 and n % 2 == 1, "odd and at least 5"))
+    safety = _checked(float, lambda v: 0.0 < v <= DEFAULT_THETA, f"in (0, {DEFAULT_THETA}]")
+    theta = read("grid", "theta", str(DEFAULT_THETA), safety)
+    # the Lipschitz meter needs two nodes inside the collar on each axis
+    most = (nodes - 2) // 2
+    collar = read("grid", "collar", "4", _checked(int, lambda c: 0 <= c <= most, f"in [0, {most}]"))
+    steps = read("grid", "steps", "auto", _or_auto(_checked(int, lambda n: n >= 1, "at least 1")))
     grid, ratio = GridSpec.stable(problem, dim, half_width, nodes, horizon, steps, theta)
     if model is not None:
         price_positivity_bound(model, value_interval, grid.mesh())
@@ -387,17 +384,10 @@ def load_config(path):
 
     mc = {}
     if parser.has_section("mc"):
-        mc = dict(_read_mc(read, dim))
-        if not 0.0 <= mc["price_time"] <= horizon:
-            raise ConfigurationError(
-                f"cannot read [mc] price_time: {mc['price_time']} lies outside [0, {horizon}]",
-                section="mc",
-                key="price_time",
-                text=parser["mc"]["price_time"],
-            )
+        mc = dict(_read_mc(read, dim, horizon))
         read.manifest["mc"]["positivity_floor_rel"] = montecarlo.POSITIVITY_FLOOR_REL
 
-    cap = read("diagnostics", "offset_cap", "auto", _or_auto(float))
+    cap = read("diagnostics", "offset_cap", "auto", _or_auto(positive))
     diagnostics = {
         "regularity": read("diagnostics", "regularity", "false", _parse_bool),
         "offset_cap": None if cap == "auto" else cap,
@@ -406,10 +396,14 @@ def load_config(path):
 
     tr = {}
     if parser.has_section("transform"):
+        modes = ("semiconvex", "semiconcave")
+        mode = read("transform", "mode", "semiconvex", _checked(str, modes.__contains__, "semiconvex or semiconcave"))
+        # the semiconcave g(tau) = -2 (tau + 1)^(l + 1) / (l + 1) needs l > 3
+        above_3 = _checked(float, lambda l: mode != "semiconcave" or l > 3.0, "above 3 in semiconcave mode")
         tr = {
-            "mode": read("transform", "mode", "semiconvex", str),
-            "l": read("transform", "l", "4"),
-            "tau_max": read("transform", "tau_max", "5.0"),
+            "mode": mode,
+            "l": read("transform", "l", "4", above_3),
+            "tau_max": read("transform", "tau_max", "5.0", positive),
             "interval": read("transform", "interval", "1.0,2.0", _parse_interval),
         }
         if model is None:

@@ -5,12 +5,21 @@ Space points are arrays with a trailing axis of length ``dim`` (shape
 ``(..., m)``. Time ``t`` is a scalar per call. All built-ins are plain numpy
 and vectorize over the leading axes.
 
-Every field carries its analytic gradient, Hessian and time derivative.
+Every field carries its analytic gradient, Hessian and time derivative. A
+builder refuses parameters it cannot use with a ValueError, which the config
+reader reports under the key that named the family.
 """
 
 import numpy as np
 
-from .errors import ConfigurationError
+
+def _dot(a, b):
+    """<a, b> over the trailing axis, one term per component; numpy's
+    reductions over a trailing axis of length 2 or 3 are several times slower."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
 
 
 class SpaceTimeField:
@@ -63,9 +72,11 @@ def gaussian_bump_field(dim, amplitude=1.0, center=0.0, width=1.0, ramp=None):
     """
     a = float(amplitude)
     w = float(width)
+    if not w > 0.0:
+        raise ValueError(f"gaussian width {w} is not positive")
     c = np.full(dim, float(center)) if np.isscalar(center) else np.asarray(center, dtype=float)
     if c.shape != (dim,):
-        raise ConfigurationError("gaussian bump center must match dimension", center=center, dim=dim)
+        raise ValueError(f"gaussian center {center} does not have {dim} components")
 
     def profile(t):
         if ramp is None:
@@ -75,8 +86,8 @@ def gaussian_bump_field(dim, amplitude=1.0, center=0.0, width=1.0, ramp=None):
 
     def value(x, t):
         g, _ = profile(t)
-        r2 = np.sum((x - c) ** 2, axis=-1)
-        return a * g * np.exp(-r2 / (2.0 * w**2))
+        d = x - c
+        return a * g * np.exp(-_dot(d, d) / (2.0 * w**2))
 
     def grad(x, t):
         v = value(x, t)
@@ -90,8 +101,8 @@ def gaussian_bump_field(dim, amplitude=1.0, center=0.0, width=1.0, ramp=None):
 
     def dt(x, t):
         _, gdot = profile(t)
-        r2 = np.sum((x - c) ** 2, axis=-1)
-        return a * gdot * np.exp(-r2 / (2.0 * w**2))
+        d = x - c
+        return a * gdot * np.exp(-_dot(d, d) / (2.0 * w**2))
 
     return SpaceTimeField(value, grad, hess, dt, dim=dim)
 
@@ -149,7 +160,7 @@ def swirl_drift(dim, rate=1.0):
     """Drift whose kernel-direction component reads the diffusive block,
     e.g. mu = rate * (x_2, 0, ...) in two dimensions."""
     if dim < 2:
-        raise ConfigurationError("swirl drift needs dim >= 2", dim=dim)
+        raise ValueError(f"swirl drift needs dim >= 2, not {dim}")
     r = float(rate)
 
     def fn(x, t):
@@ -185,7 +196,7 @@ def piecewise_rate(breaks, values):
     bs = np.asarray(breaks, dtype=float)
     vs = np.asarray(values, dtype=float)
     if bs.ndim != 1 or vs.shape != bs.shape or np.any(np.diff(bs) <= 0):
-        raise ConfigurationError("piecewise rate needs increasing breaks matching values")
+        raise ValueError("piecewise rate needs increasing breaks, one value each")
     lo = np.concatenate([[-np.inf], bs[:-1]])
     hi = np.concatenate([bs[:-1], [np.inf]])
 

@@ -30,7 +30,7 @@ from .errors import (
     DomainViolationError,
     PositivityError,
 )
-from .families import reciprocal_ufunc
+from .families import _dot, reciprocal_ufunc
 
 __all__ = [
     "CoefficientSet",
@@ -48,15 +48,6 @@ __all__ = [
 _SIGMA_RANK_SAMPLES = 17
 # Times sampled on [0, T] by ``price_positivity_bound``.
 _POSITIVITY_TIMES = 33
-
-
-def _dot(a, b):
-    """<a, b> over the trailing axis, one term per component; numpy's
-    reductions over a trailing axis of length 2 or 3 are several times slower."""
-    out = a[..., 0] * b[..., 0]
-    for i in range(1, a.shape[-1]):
-        out += a[..., i] * b[..., i]
-    return out
 
 
 @dataclass(frozen=True)

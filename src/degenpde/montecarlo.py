@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolationError, DegeneracyError, ExtrapolationError
-from .model import discount_and_xi
+from .model import _dot, discount_and_xi
 
 __all__ = [
     "PathEnsemble",
@@ -221,7 +221,7 @@ class PricingKernel:
         u_val, grad, n_clamped = self.interp.evaluate(x, theta)
         h_val = self.model.principal_h(x, theta)
         denom = u_val + h_val + xi_t
-        if np.any(denom < self.floor):
+        if (denom < self.floor).any():
             bad = int(np.argmin(denom))
             raise DegeneracyError(
                 "denominator U + h + xi fell below the positivity floor",
@@ -294,7 +294,7 @@ def girsanov_log_weight(ensemble, kernel):
     for k in range(ensemble.n_steps):
         gam = kernel.gamma(ensemble.states[:, k, :], times[k], step=k)
         dw = ensemble.increments[:, k, :]
-        log_w -= np.sum(gam * dw, axis=1) + 0.5 * np.sum(gam * gam, axis=1) * ds
+        log_w -= _dot(gam, dw) + 0.5 * _dot(gam, gam) * ds
     return log_w
 
 
@@ -388,7 +388,7 @@ def stream_paths(kernel, measures, mu, x0, t0, increments):
             if m == "Q":
                 drift = drift - gam @ sig.T
             else:
-                ps.log_weight -= np.sum(gam * dw, axis=1) + 0.5 * np.sum(gam * gam, axis=1) * ds_weight
+                ps.log_weight -= _dot(gam, dw) + 0.5 * _dot(gam, gam) * ds_weight
             ps.state = x + drift * ds + noise
     for m, ps in sums.items():
         add_integrand(m, n_steps, model.principal_h(ps.state, T - times[-1]))

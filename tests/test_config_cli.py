@@ -14,7 +14,7 @@ import degenpde
 from degenpde import cli, montecarlo, regularity, solver, transform
 from degenpde.cli import main
 from degenpde.config import FAMILIES, load_config, mc_settings, parse_family
-from degenpde.errors import ConfigurationError, ContractViolationError, StabilityError
+from degenpde.errors import ConfigurationError, StabilityError
 from degenpde.reporting import (
     CSV_BLOCK_ROWS,
     dumps_json,
@@ -400,7 +400,7 @@ def test_positivity_bound_counts_the_principal(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--paths", "1"), ("--paths", "0"), ("--steps", "0")])
+@pytest.mark.parametrize("flag, value", [("--paths", "1"), ("--paths", "0"), ("--steps", "0"), ("--seed", "-3")])
 def test_price_flags_below_their_floor_are_rejected(flag, value, bench_config, tmp_path, capsys):
     field_dir = str(tmp_path / "field")
     assert main(["solve", "--config", bench_config, "--out", field_dir]) == 0
@@ -429,6 +429,55 @@ def test_price_flags_below_their_floor_are_rejected(flag, value, bench_config, t
 def test_non_finite_value_names_its_key(section, key, text, tmp_path, capsys):
     parser = configparser.ConfigParser()
     parser.read_string(BENCH_INI)
+    parser.set(section, key, text)
+    ini = io.StringIO()
+    parser.write(ini)
+    assert _failed_solve(tmp_path, capsys, ini.getvalue()) == {"section": section, "key": key, "text": text}
+
+
+# BENCH_INI in semiconcave mode, the one mode that reads l
+SEMICONCAVE_INI = BENCH_INI.replace("mode = semiconvex", "mode = semiconcave")
+
+
+@pytest.mark.parametrize(
+    "section, key, text",
+    [
+        ("model", "kind", "other"),
+        ("model", "dim", "4"),
+        ("model", "dim", "0"),
+        ("model", "horizon", "-1.0"),
+        ("model", "rho", "1.5"),
+        ("model", "coupon_tau", "-0.06"),
+        ("model", "sigma", "linear:1"),
+        ("model", "sigma", "constant:1 1"),  # more noises than factors
+        ("model", "mu", "swirl:1"),  # needs dim >= 2
+        ("model", "rate", "piecewise:0.03"),
+        ("model", "rate", "piecewise:0.5=0.03,0.50=0.05"),
+        ("model", "principal", "gaussian_bump:amplitude=1,center=0,width=0,ramp=3"),
+        ("model", "initial", "gaussian:1,0,-1"),
+        ("model", "value_interval", "1.5"),
+        ("model", "value_interval", "1.5,-0.5"),
+        ("model", "domain_interval", "2.0,1.0"),  # read by the general kind
+        ("grid", "half_width", "-1.0"),
+        ("grid", "nodes", "40"),
+        ("grid", "nodes", "3"),
+        ("grid", "steps", "0"),
+        ("grid", "collar", "-1"),
+        ("grid", "collar", "50"),  # leaves one node of 101
+        ("grid", "theta", "0.9"),
+        ("mc", "seed", "-5"),
+        ("mc", "x0", "0.0,1.0"),
+        ("mc", "price_time", "2.0"),
+        ("diagnostics", "offset_cap", "-1"),
+        ("transform", "mode", "bogus"),
+        ("transform", "l", "2"),
+        ("transform", "tau_max", "-1.0"),
+        ("transform", "interval", "2.0,1.0"),
+    ],
+)
+def test_out_of_range_value_names_its_key(section, key, text, tmp_path, capsys):
+    parser = configparser.ConfigParser()
+    parser.read_string(GENERAL_INI if key == "domain_interval" else SEMICONCAVE_INI)
     parser.set(section, key, text)
     ini = io.StringIO()
     parser.write(ini)
@@ -592,6 +641,7 @@ def test_field_csv_other_than_the_export_is_a_configuration_error(corruption, tm
         ("--paths", "1", "1"),
         ("--paths", "0", "0"),
         ("--steps", "0", "0"),
+        ("--seed", "-1", "-1"),
         ("--T", "-1", "-1.0"),
         ("--window", "1", "1"),
         ("--window", "a,b", "a,b"),
@@ -781,20 +831,6 @@ class TestCli:
             assert key in model
         assert set(manifest["diagnostics"]) == {"regularity", "offset_cap", "collar"}
         assert "artifacts" in manifest
-
-
-def test_theta_cap_enforced(tmp_path):
-    path = tmp_path / "theta.ini"
-    path.write_text(BENCH_INI.replace("theta = 0.45", "theta = 0.9"))
-    with pytest.raises(ConfigurationError):
-        load_config(str(path))
-
-
-def test_mbs_config_needs_at_least_as_many_factors_as_noises(tmp_path):
-    path = tmp_path / "wide.ini"
-    path.write_text(BENCH_INI.replace("sigma = constant:1\n", "sigma = constant:1 1\n"))
-    with pytest.raises(ContractViolationError):
-        load_config(str(path))
 
 
 def test_affine_initial_family(tmp_path):

@@ -305,16 +305,26 @@ class TestStreamedPass:
         ds = (1.0 - self.T0) / self.N_STEPS
         incs = make_rng(11, 0).standard_normal((self.N_PATHS, self.N_STEPS, 1))
         incs *= np.sqrt(ds)
-        return dict(bench_setup, kernel=kernel, incs=incs)
+        return dict(bench_setup, kernel=kernel, incs=incs, x0=[0.3])
+
+    @pytest.fixture()
+    def coupled(self):
+        """The coupled 2-D setup: each log-weight step sums two noise terms."""
+        setup = _coupled_2d_setup()
+        kernel = PricingKernel(setup["model"], setup["field"], setup["sigma"])
+        ds = (1.0 - self.T0) / self.N_STEPS
+        incs = make_rng(11, 0).standard_normal((self.N_PATHS, self.N_STEPS, 2))
+        incs *= np.sqrt(ds)
+        return dict(setup, kernel=kernel, incs=incs)
 
     def simulate(self, shared, measure):
         return simulate(
-            shared["sigma"], shared["mu"], [0.3], self.T0, 1.0, self.N_STEPS, self.N_PATHS,
+            shared["sigma"], shared["mu"], shared["x0"], self.T0, 1.0, self.N_STEPS, self.N_PATHS,
             measure=measure, kernel=shared["kernel"], increments=shared["incs"],
         )
 
     def stream(self, shared, measures):
-        return stream_paths(shared["kernel"], measures, shared["mu"], [0.3], self.T0, shared["incs"])
+        return stream_paths(shared["kernel"], measures, shared["mu"], shared["x0"], self.T0, shared["incs"])
 
     def test_pw_log_weights_bitwise(self, shared):
         ens = self.simulate(shared, "P")
@@ -334,6 +344,14 @@ class TestStreamedPass:
         expected = payoff_discounted(ens.states, ens.times, shared["model"], t0=self.T0)
         got = self.stream(shared, (measure,))[measure].payoff
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("measure", ["Q", "P"])
+    def test_states_and_log_weights_bitwise_in_2d(self, coupled, measure):
+        ens = self.simulate(coupled, measure)
+        sums = self.stream(coupled, (measure,))[measure]
+        assert np.array_equal(sums.state, ens.states[:, -1, :])
+        if measure == "P":
+            assert np.array_equal(sums.log_weight, girsanov_log_weight(ens, coupled["kernel"]))
 
     def test_joint_pass_equals_separate_passes(self, shared):
         both = self.stream(shared, ("Q", "P"))
