@@ -344,7 +344,8 @@ def stream_paths(kernel, measures, mu, x0, t0, increments):
     term of the discounted payoff and, under P, subtracts gamma . dW +
     1/2 |gamma|^2 ds from the log-weight. The states and log-weights equal
     those of ``simulate`` and ``girsanov_log_weight`` bit for bit; the
-    payoffs equal ``payoff_discounted`` up to the order of summation.
+    payoffs equal ``payoff_discounted`` up to the order of summation. A
+    DegeneracyError carries the measure it was pricing as ``measure``.
     """
     model, sigma = kernel.model, kernel.sigma
     T = model.horizon
@@ -381,7 +382,11 @@ def stream_paths(kernel, measures, mu, x0, t0, increments):
         noise = dw @ sig.T
         for m, ps in sums.items():
             x = ps.state
-            gam, h_val, n_clamped = kernel.gamma_and_principal(x, theta, sig, xi_t, step=k)
+            try:
+                gam, h_val, n_clamped = kernel.gamma_and_principal(x, theta, sig, xi_t, step=k)
+            except DegeneracyError as err:
+                err.measure = m
+                raise
             ps.clamped += n_clamped
             add_integrand(m, k, h_val)
             drift = np.asarray(mu(x, theta), dtype=float)
@@ -469,10 +474,11 @@ def price_and_compare(
     the chunk's single draw and every per-path quantity is elementwise, so
     the results do not depend on the block size, and peak memory is
     O(block + paths), not O(chunk x steps). A DegeneracyError names the path
-    (by its index within the chunk) and the step of an unblocked pass; to
-    find them, a chunk with a failing block is replayed in one block. The pw
-    report adds the Girsanov weights' effective sample size
-    (sum w)^2 / sum w^2 and their largest weight.
+    (by its index within the chunk) and the step of an unblocked pass: each
+    block of a failing chunk runs to its own first failure, and the chunk
+    raises the one that pass meets first. The pw report adds the Girsanov
+    weights' effective sample size (sum w)^2 / sum w^2 and their largest
+    weight.
     """
     if mode not in ("q", "pw", "both"):
         raise ContractViolationError("mode must be q, pw or both", mode=mode)
@@ -503,20 +509,23 @@ def price_and_compare(
     for stream, start in enumerate(range(0, n_paths, chunk_size)):
         batch = min(chunk_size, n_paths - start)
         rng = make_rng(seed, stream)
+        failures = []
         for lo, hi in path_blocks(batch, n_steps, d_noise):
             incs = draw_increments(rng, hi - lo, n_steps, d_noise, ds)
             try:
                 blocks.append(stream_paths(kernel, run, mu, x0, price_time, incs))
-            except DegeneracyError:
-                if hi - lo == batch:
-                    raise
-                # a later block may fail at an earlier step: replay the chunk
-                # in one block so that the error names the path and step of
-                # the whole chunk
-                incs = draw_increments(make_rng(seed, stream), batch, n_steps, d_noise, ds)
-                stream_paths(kernel, run, mu, x0, price_time, incs)
-                raise
+            except DegeneracyError as err:
+                # named within the chunk; a kept traceback would hold the noise
+                err.details["path"] += lo
+                failures.append(err.with_traceback(None))
             del incs  # free this block's noise before the next one is drawn
+        if failures:
+            # an unblocked pass stops at the first step and measure that
+            # fail, and names the argmin of the denominator there
+            raise min(
+                failures,
+                key=lambda e: (e.details["step"], run.index(e.measure), e.details["value"], e.details["path"]),
+            )
 
     reports = {}
     for m in modes:

@@ -62,6 +62,28 @@ def _offset_vectors(grid, max_offset):
     return offsets
 
 
+def _offset_plan(grid, max_offset, collar):
+    """Index boxes of u[c + o], u[c - o], u[c] and h^2 = |o dx|^2 per offset o.
+
+    c runs over the nodes at least max(collar, |o_i|) from each face, and
+    offsets whose box is empty are left out.
+    """
+    if max_offset is None:
+        max_offset = min(grid.half_width) / 4.0
+    plan = []
+    for o in _offset_vectors(grid, max_offset):
+        margins = [max(collar, abs(int(oi))) for oi in o]
+        if any(n - m <= m for n, m in zip(grid.shape, margins)):
+            continue
+
+        def box(sign):
+            return tuple(slice(m + sign * oi, n - m + sign * oi) for oi, n, m in zip(o, grid.shape, margins))
+
+        h2 = float(sum((o[i] * grid.dx[i]) ** 2 for i in range(grid.dim)))
+        plan.append((box(1), box(-1), box(0), h2))
+    return plan
+
+
 def second_difference_constants(field, t_index, max_offset=None, collar=4):
     """One-sided second-difference constants (L_minus, L_plus) of a slice.
 
@@ -70,39 +92,21 @@ def second_difference_constants(field, t_index, max_offset=None, collar=4):
     bound. Offsets run over grid multiples up to ``max_offset`` (default a
     quarter of the smallest half-width) along each axis, plus diagonal pairs.
     """
-    return _second_differences(field.values[t_index], field.grid, max_offset, collar)
+    return _second_differences(field.values[t_index], _offset_plan(field.grid, max_offset, collar))
 
 
-def _second_differences(u, grid, max_offset, collar):
-    """``second_difference_constants`` of the slice ``u`` on ``grid``.
+def _second_differences(u, plan):
+    """``second_difference_constants`` of the slice ``u`` over an ``_offset_plan``.
 
     Each offset's differences u[+o] + u[-o] - 2u[c] are divided by h^2 only
     at their min and max: rounding x / h^2 is monotone for h^2 > 0, so those
     are the extreme quotients, bit for bit.
     """
-    if max_offset is None:
-        max_offset = min(grid.half_width) / 4.0
-    dx = grid.dx
     two_u = 2.0 * u
     worst_min = 0.0
     worst_max = 0.0
-    for o in _offset_vectors(grid, max_offset):
-        h2 = float(sum((o[i] * dx[i]) ** 2 for i in range(grid.dim)))
-        center = []
-        plus = []
-        minus = []
-        ok = True
-        for i, (oi, n) in enumerate(zip(o, grid.shape)):
-            m = max(collar, abs(int(oi)))
-            if n - m <= m:
-                ok = False
-                break
-            center.append(slice(m, n - m))
-            plus.append(slice(m + oi, n - m + oi))
-            minus.append(slice(m - oi, n - m - oi))
-        if not ok:
-            continue
-        diff = u[tuple(plus)] + u[tuple(minus)] - two_u[tuple(center)]
+    for plus, minus, center, h2 in plan:
+        diff = u[plus] + u[minus] - two_u[center]
         worst_min = min(worst_min, float(diff.min()) / h2)
         worst_max = max(worst_max, float(diff.max()) / h2)
     return max(0.0, -worst_min), max(0.0, worst_max)
@@ -568,7 +572,7 @@ class RegularityMeter:
         self.grid = grid
         self.stride = max(1, (grid.steps + 1) // MAX_REGULARITY_SLICES)
         self._collar = collar
-        self._max_offset = max_offset
+        self._plan = _offset_plan(grid, max_offset, collar)
         self.lipschitz = LipschitzMeter(grid, collar)
         self.deviation = DeviationMeter(grid, INITIAL_LAYER_FRACTION, collar)
         self.indices, self.t, self.l_minus, self.l_plus, self.w2_norm = [], [], [], [], []
@@ -580,7 +584,7 @@ class RegularityMeter:
         self.deviation.take(k, u)
         if k % self.stride and k != self.grid.steps:
             return
-        lm, lp = _second_differences(u, self.grid, self._max_offset, self._collar)
+        lm, lp = _second_differences(u, self._plan)
         (sup, gsup, hsup), boxed = field_sup_norms(u, self.grid.axes, collar=self._collar)
         self.indices.append(k)
         self.t.append(float(self.grid.times[k]))

@@ -328,7 +328,10 @@ def structural_check(pair, eta_fn, interval):
 
     The gradient-quadratic coefficient of the tau-equation is evaluated from
     the tabulated transform; its derivatives come from central differences,
-    so the report does not presume any closed form. Pure report, no failure.
+    so the report does not presume any closed form. The probes cover the
+    part of ``interval`` inside the image of Q, reported as
+    ``certified_interval``; ``covers_interval`` says whether that is all of
+    ``interval``. Pure report, no failure.
     """
     lo, hi = interval
     lo_att = max(lo, pair.image[0])
@@ -370,6 +373,8 @@ def structural_check(pair, eta_fn, interval):
         "mode": pair.mode,
         "status": pair.status,
         "image": list(pair.image),
+        "certified_interval": [float(lo_att), float(hi_att)],
+        "covers_interval": bool(lo_att == lo and hi_att == hi),
         "tau_range": [float(taus[0]), float(taus[-1])],
         "n_probe": _STRUCTURE_PROBES,
         "lambda_tilde": {

@@ -542,6 +542,48 @@ def test_readme_lists_every_family_with_its_parameters():
                 assert f"| `{name}` | {listed}" in readme, name
 
 
+def _transform_case(case, tmp_path, monkeypatch):
+    """A config for ``transform-check``: the measure_2d workload's, in its own
+    semiconvex or in semiconcave mode, or configs/degenerate.ini with an
+    interval that holds the pole u = 0 of lambda = reciprocal:0.5."""
+    if case == "degenerate-pole":
+        with open(os.path.join(REPO, "configs", "degenerate.ini")) as fh:
+            text = fh.read() + "\n[transform]\ninterval = -1.0,2.0\n"
+    else:
+        monkeypatch.syspath_prepend(os.path.join(REPO, "bench"))
+        import workloads
+
+        with open(workloads.WORKLOADS["measure_2d"](str(tmp_path), 1).config) as fh:
+            text = fh.read()
+        if case == "measure_2d-semiconcave":
+            text = text.replace("mode = semiconvex", "mode = semiconcave")
+    path = tmp_path / f"{case}.ini"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case, status, certified",
+    [
+        ("measure_2d", "target", [1.0, 2.0]),
+        ("measure_2d-semiconcave", "saturated", None),
+        ("degenerate-pole", "saturated", None),
+    ],
+)
+def test_transform_check_reports_the_interval_it_certified(case, status, certified, tmp_path, monkeypatch, capsys):
+    path = _transform_case(case, tmp_path, monkeypatch)
+    assert main(["transform-check", "--config", path]) == 0  # a partial cover is reported, not refused
+    report = json.loads(capsys.readouterr().out)
+    lo, hi = load_config(path).transform["interval"]
+    image = report["image"]
+    assert report["status"] == status
+    assert report["certified_interval"] == [max(lo, image[0]), min(hi, image[1])]
+    assert report["covers_interval"] is (certified is not None)
+    if certified is not None:
+        assert report["certified_interval"] == certified
+    else:
+        assert report["certified_interval"][1] < hi
+
 class TestReporting:
     def test_float_formatting_round_trips(self):
         for v in (0.1, 1.0 / 3.0, 1e-300, 123456.789012345678, np.pi):

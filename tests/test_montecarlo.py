@@ -399,6 +399,32 @@ class TestStreamedPass:
         assert peak < 1.5 * noise_block + 32 * n_paths * 8
 
 
+@pytest.mark.parametrize("mode", ["q", "both"])
+def test_degeneracy_error_holds_one_noise_block_plus_o_paths(mode):
+    # U + h + xi < 0 everywhere, so every block of the one chunk fails at step 0
+    grid = GridSpec(1, 8.0, 41, 20, 1.0)
+    field = flat_price_field(grid, -10.0)
+    n_paths = 50_000
+
+    def run():
+        with pytest.raises(DegeneracyError) as err:
+            price_and_compare(
+                make_benchmark_model(), field, constant_sigma([[1.0]]), zero_drift(1), x0=[0.0],
+                n_paths=n_paths, n_steps=500, seed=0, mode=mode, chunk_size=n_paths,
+            )
+        return err.value.details
+
+    run()  # first call loads the quadrature module; keep it out of the trace
+    tracemalloc.start()
+    try:
+        details = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert details["step"] == 0
+    assert peak < 1.5 * montecarlo.NOISE_BLOCK_BYTES + 32 * n_paths * 8
+
+
 def _coupled_2d_setup():
     """A 2-D model with coupled sigma, so each noise step is a 2 x 2 matmul."""
     from degenpde.families import constant_rate, gaussian_bump_field
@@ -417,6 +443,10 @@ def _coupled_2d_setup():
     field = SolutionField(values, grid, variable="U")
     sigma = constant_sigma([[0.7, 0.3], [-0.2, 0.9]])
     return dict(model=model, field=field, sigma=sigma, mu=linear_drift(2, -0.4), x0=[0.1, -0.2])
+
+
+# seeds whose mode-both failure falls in a later block than the first
+LATER_BLOCK_SEEDS = (0, 1, 4, 14)
 
 
 class TestNoiseBlocks:
@@ -489,26 +519,52 @@ class TestNoiseBlocks:
         one_block, _ = self.price(setup, n_paths, chunk, n_paths + 1, monkeypatch)
         assert rep == one_block
 
-    @pytest.mark.parametrize("seed", [0, 1, 4, 14])
-    def test_degeneracy_error_names_the_unblocked_path_and_step(self, monkeypatch, seed):
-        # U is -10 beyond |x| = 2.5, so some paths fail; with seeds 1, 4 and 14
-        # the first block fails at a later step than a path of the second
-        model = make_benchmark_model()
+    def degeneracy_payloads(self, monkeypatch, values, mode, seed, n_steps=50):
+        """Error payloads of one unblocked pass and of blocks of 64 paths."""
         grid = GridSpec(1, 8.0, 101, 20, 1.0)
-        values = np.where(np.abs(grid.axes[0]) > 2.5, -10.0, 0.0)
-        field = SolutionField(np.broadcast_to(values, (21, 101)).copy(), grid, variable="U")
-        sigma, n_steps = constant_sigma([[1.0]]), 50
+        field = SolutionField(np.broadcast_to(values(grid.axes[0]), (21, 101)).copy(), grid, variable="U")
         errors = []
         for rows in (10**6, 64):
             monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", rows * n_steps * 8)
             with pytest.raises(DegeneracyError) as err:
                 price_and_compare(
-                    model, field, sigma, zero_drift(1), x0=[0.0], n_paths=256, n_steps=n_steps,
-                    seed=seed, mode="both", chunk_size=200,
+                    make_benchmark_model(), field, constant_sigma([[1.0]]), zero_drift(1), x0=[0.0],
+                    n_paths=256, n_steps=n_steps, seed=seed, mode=mode, chunk_size=200,
                 )
             errors.append(err.value.payload())
+        return errors
+
+    @pytest.mark.parametrize(
+        "mode, seed",
+        [pytest.param("both", s, id=str(s)) for s in LATER_BLOCK_SEEDS]
+        + [
+            pytest.param(m, s, id=f"{m}-{s}")
+            for m in ("q", "pw", "both")
+            for s in range(16)
+            if not (m == "both" and s in LATER_BLOCK_SEEDS)
+        ],
+    )
+    def test_degeneracy_error_names_the_unblocked_path_and_step(self, monkeypatch, mode, seed):
+        # U is -10 beyond |x| = 2.5, so some paths fail; in mode both with
+        # seeds 1, 4 and 14 the first block fails at a later step than a path
+        # of the second
+        errors = self.degeneracy_payloads(monkeypatch, lambda x: np.where(np.abs(x) > 2.5, -10.0, 0.0), mode, seed)
         assert errors[0] == errors[1]
-        assert errors[0]["details"]["path"] >= 64  # in a later block
+        if mode == "both" and seed in LATER_BLOCK_SEEDS:
+            assert errors[0]["details"]["path"] >= 64  # in a later block
+
+    def test_degeneracy_error_orders_q_before_p_within_a_step(self, monkeypatch):
+        # U climbs to 3 towards a cliff at x = 2.5, so the tilt holds Q paths
+        # back while their P twins jump it. With seed 88, at step 27 the first
+        # block's Q path 53 fails and the third block's P path 186 fails
+        # further below the floor; the unblocked pass prices Q first
+        def values(x):
+            ramp = np.where(x > 1.0, 2.0 * (x - 1.0), 0.0)
+            return np.where((x > 2.5) | (x < -2.5), -10.0, ramp)
+
+        errors = self.degeneracy_payloads(monkeypatch, values, "both", 88)
+        assert errors[0] == errors[1]
+        assert (errors[0]["details"]["step"], errors[0]["details"]["path"]) == (27, 53)
 
     def test_pw_weight_counters(self, bench_setup):
         rep = price_and_compare(

@@ -355,3 +355,32 @@ class TestAutoSteps:
         solve(cfg.problem, cfg.u0, cfg.grid, store=False)
         assert len(times) == solver.STABILITY_TIME_SAMPLES + cfg.grid.steps
         assert times.count(cfg.horizon) == 1
+
+
+def test_2d_degenerate_price_converges_at_first_order():
+    # configs/degenerate_mbs.ini solved at 41^2, 61^2 and 81^2 nodes (dx 0.3,
+    # 0.2 and 0.15; steps = auto gives 92, 176 and 285 steps), with U read at
+    # x0 = (0.5, -0.5) and theta = T. Measured: 0.013985348, 0.014236691 and
+    # 0.014363339, differences 2.513e-4 and 1.266e-4, observed order 0.978,
+    # the upwind drift difference's first order. The bound 0.9 leaves 0.078.
+    from degenpde.config import load_config
+    from degenpde.montecarlo import GradientInterpolant
+
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "degenerate_mbs.ini"))
+    x0 = np.array([[0.5, -0.5]])
+    dx, values = [], []
+    for nodes in (41, 61, 81):
+        grid, _ = GridSpec.stable(cfg.problem, 2, cfg.grid.half_width[0], nodes, cfg.horizon)
+        field = solve(cfg.problem, cfg.u0, grid)
+        dx.append(grid.dx[0])
+        values.append(GradientInterpolant(field).evaluate(x0, cfg.horizon)[0][0])
+    d = np.diff(values)
+    assert d[0] > d[1] > 0.0  # one-signed and shrinking
+
+    # v(dx) = v* + C dx^p makes d[0] / d[1] grow with p, so the order
+    # exceeds the bound exactly when the ratio exceeds the bound's ratio
+    def ratio(p):
+        h = np.asarray(dx) ** p
+        return (h[0] - h[1]) / (h[1] - h[2])
+
+    assert d[0] / d[1] > ratio(0.9), (values, d)
