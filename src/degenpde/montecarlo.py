@@ -13,8 +13,9 @@ simulation) or reweights physical paths by the stochastic exponential
 whose weights have unit mean. The discounted payoff integrates
 (tau - r(T-s)) exp(-int_t^s r(T-k) dk) h(X_s, T-s) along each path; its Monte
 Carlo mean under either mode is compared against the grid solution U(x0, T-t).
-Pricing streams the paths: one time loop takes sigma and xi once per step and
-carries each measure's O(paths) state, payoff, log-weight and clamp tally.
+Pricing streams the paths: one time loop carries each measure's O(paths)
+state, payoff, log-weight and clamp tally over step-major noise, and sigma and
+xi are taken once per step for the whole pass.
 """
 
 import math
@@ -46,6 +47,9 @@ POSITIVITY_FLOOR_REL = 1e-8
 # Bytes of per-path-and-step arrays held at once when paths are simulated in
 # blocks; the results do not depend on it.
 NOISE_BLOCK_BYTES = 16 * 2**20
+# Paths per sub-draw of a step-major noise block (draw_step_major); the
+# results do not depend on it.
+_SUB_DRAW_ROWS = 128
 
 
 def path_blocks(n_paths, n_steps, width):
@@ -74,6 +78,22 @@ def draw_increments(rng, n_paths, n_steps, d_noise, ds):
     incs = rng.standard_normal((n_paths, n_steps, d_noise))
     incs *= np.sqrt(ds)
     return incs
+
+
+def draw_step_major(rng, n_paths, n_steps, d_noise, ds):
+    """``draw_increments``' noise laid out step-major, (n_steps, n_paths, d_noise).
+
+    The paths are drawn in consecutive sub-draws of _SUB_DRAW_ROWS, each
+    copied into place while it is small enough to stay in cache. Consecutive
+    draws concatenate bit for bit to one draw, so the result equals
+    ``draw_increments(...).transpose(1, 0, 2)`` whatever the sub-draw size,
+    and no second copy of the block is ever held.
+    """
+    out = np.empty((n_steps, n_paths, d_noise))
+    for lo in range(0, n_paths, _SUB_DRAW_ROWS):
+        hi = min(lo + _SUB_DRAW_ROWS, n_paths)
+        out[:, lo:hi] = draw_increments(rng, hi - lo, n_steps, d_noise, ds).transpose(1, 0, 2)
+    return out
 
 
 @dataclass
@@ -120,29 +140,51 @@ class GradientInterpolant:
         self._corners = list(product((0, 1), repeat=grid.dim))
         self._spacings = [np.diff(a) for a in grid.axes]
         self._time_list = [float(t) for t in field.times]
-        self._rows = self._term = None
+        self._time_hits = {}
+        self._slab = self._slab_kt = None
+        self._scratch = None
 
-    def _locate(self, coords, i):
-        # fractions come from the stored axis entries so that querying a grid
-        # node bitwise reproduces the stored value exactly
+    def _locate(self, coords, i, s):
+        # writes the cell index and the clipped fraction of coords along axis
+        # i into s["idx"][i] and s["frac"][i], and ORs their clamp flags into
+        # s["clamped"]. The fractions come from the stored axis entries so
+        # that querying a grid node bitwise reproduces the stored value
+        # exactly
         axis_vals = self.axes[i]
-        pos = (coords - axis_vals[0]) / (axis_vals[1] - axis_vals[0])
+        idx, frac, gather, flag = s["idx"][i], s["frac"][i], s["gather"], s["flag"]
+        np.subtract(coords, axis_vals[0], out=frac)
+        np.divide(frac, axis_vals[1] - axis_vals[0], out=frac)
+        np.floor(frac, out=frac)
+        np.copyto(idx, frac, casting="unsafe")
         # np.minimum/np.maximum in place of np.clip, whose wrapper costs more
         # than the arithmetic at these sizes. They may keep a -0.0 fraction
         # that np.clip makes +0.0; a zero weight adds nothing to sums that
         # start at +0.0, so the results are the same
-        idx = np.minimum(np.maximum(np.floor(pos).astype(np.int64), 0), self._cells[i] - 1)
-        frac = (coords - axis_vals[idx]) / self._spacings[i][idx]
-        clamped = (coords < axis_vals[0]) | (coords > axis_vals[-1])
-        return idx, np.minimum(np.maximum(frac, 0.0), 1.0), clamped
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, self._cells[i] - 1, out=idx)
+        # the indices are in range by construction; mode "clip" lets take
+        # write into its buffer without an intermediate copy
+        axis_vals.take(idx, out=gather, mode="clip")
+        np.subtract(coords, gather, out=frac)
+        self._spacings[i].take(idx, out=gather, mode="clip")
+        np.divide(frac, gather, out=frac)
+        np.maximum(frac, 0.0, out=frac)
+        np.minimum(frac, 1.0, out=frac)
+        for compare, bound in ((np.less, axis_vals[0]), (np.greater, axis_vals[-1])):
+            compare(coords, bound, out=flag)
+            np.logical_or(s["clamped"], flag, out=s["clamped"])
 
     def _locate_time(self, theta):
-        # _locate for one time, in Python floats
-        times = self._time_list
-        pos = (theta - times[0]) / (times[1] - times[0])
-        k = min(max(math.floor(pos), 0), len(times) - 2)
-        frac = (theta - times[k]) / (times[k + 1] - times[k])
-        return k, min(max(frac, 0.0), 1.0), theta < times[0] or theta > times[-1]
+        # _locate for one time, in Python floats; a pricing pass asks for the
+        # same times in every noise block, so each is located once
+        hit = self._time_hits.get(theta)
+        if hit is None:
+            times = self._time_list
+            pos = (theta - times[0]) / (times[1] - times[0])
+            k = min(max(math.floor(pos), 0), len(times) - 2)
+            frac = (theta - times[k]) / (times[k + 1] - times[k])
+            hit = self._time_hits[theta] = (k, min(max(frac, 0.0), 1.0), theta < times[0] or theta > times[-1])
+        return hit
 
     def evaluate(self, x, theta):
         """Interpolated (value, gradient, clamped count) at points x and time theta.
@@ -150,51 +192,77 @@ class GradientInterpolant:
         The two time slices around theta are laid out per grid cell (corner,
         slice, value and gradient), and one gather reads every point's cell.
         The terms are summed in corner-then-slice order from +0.0, skipping
-        zero time weights.
+        zero time weights. Only the returned arrays are allocated: the
+        working arrays are kept between calls with the same number of points.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n_pts = x.shape[0]
         kt, wt, t_clamped = self._locate_time(float(theta))
+        s = self._scratch_for(n_pts)
 
-        cell, fracs, clamped_any = 0, [], False
+        s["clamped"].fill(False)
+        fracs, lows = s["frac"], s["low"]
         for i in range(self.dim):
-            idx, frac, cl = self._locate(x[:, i], i)
-            cell = cell * self._cells[i] + idx
-            fracs.append(frac)
-            clamped_any = clamped_any | cl
-        n_clamped = n_pts if t_clamped else int(np.count_nonzero(clamped_any))
+            self._locate(x[:, i], i, s)
+            np.subtract(1.0, fracs[i], out=lows[i])
+        cell = s["idx"][0]
+        for i in range(1, self.dim):
+            cell = np.multiply(cell, self._cells[i], out=s["cell"])
+            np.add(cell, s["idx"][i], out=cell)
+        n_clamped = n_pts if t_clamped else int(np.count_nonzero(s["clamped"]))
 
-        slab = self._table[kt : kt + 2]
-        n_corners, n_comp = len(self._corners), 1 + self.dim
-        cells = np.empty((n_corners, 2, n_comp) + self._cells)
-        for c, bits in enumerate(self._corners):
-            corner = tuple(slice(b, b + m) for b, m in zip(bits, self._cells))
-            cells[c] = slab[(slice(None), slice(None)) + corner]
-        rows, term = self._buffers((n_corners, 2, n_comp, n_pts))
-        # the cell indices are in range by construction; mode "clip" lets
-        # take write into ``rows`` without an intermediate copy
-        cells.reshape(n_corners, 2, n_comp, -1).take(cell, axis=-1, out=rows, mode="clip")
-
-        lows = [1.0 - f for f in fracs]
-        out = np.zeros((n_comp, n_pts))
+        rows, term, scaled = s["rows"], s["term"], s["scaled"]
+        self._cell_slab(kt).take(cell, axis=-1, out=rows, mode="clip")
+        out = np.zeros((1 + self.dim, n_pts))
         for c, bits in enumerate(self._corners):
             weight = fracs[0] if bits[0] else lows[0]
             for i in range(1, self.dim):
-                weight = weight * (fracs[i] if bits[i] else lows[i])
+                weight = np.multiply(weight, fracs[i] if bits[i] else lows[i], out=s["weight"])
             for k_off, t_weight in ((0, 1.0 - wt), (1, wt)):
                 if t_weight == 0.0:
                     continue
-                np.multiply(t_weight * weight, rows[c, k_off], out=term)
+                np.multiply(weight, t_weight, out=scaled)
+                np.multiply(scaled, rows[c, k_off], out=term)
                 out += term
         return out[0], np.ascontiguousarray(out[1:].T), n_clamped
 
-    def _buffers(self, shape):
-        # the gathered rows and one term, kept between calls: allocated
-        # afresh, arrays of this size go back to the system and fault in
-        # again on every call, which doubled the time at 10 000 points
-        if self._rows is None or self._rows.shape != shape:
-            self._rows, self._term = np.empty(shape), np.empty(shape[2:])
-        return self._rows, self._term
+    def _cell_slab(self, kt):
+        # the slices kt and kt + 1 laid out per cell as (corner, slice,
+        # component, cell); rebuilt only when kt changes, so the measures of
+        # one Euler step share it
+        shape = (len(self._corners), 2, 1 + self.dim)
+        if self._slab_kt != kt:
+            if self._slab is None:
+                self._slab = np.empty(shape + self._cells)
+            pair = self._table[kt : kt + 2]
+            for c, bits in enumerate(self._corners):
+                corner = tuple(slice(b, b + m) for b, m in zip(bits, self._cells))
+                self._slab[c] = pair[(slice(None), slice(None)) + corner]
+            self._slab_kt = kt
+        return self._slab.reshape(shape + (-1,))
+
+    def _scratch_for(self, n_pts):
+        # working arrays kept between calls: allocated afresh, arrays of this
+        # size go back to the system and fault in again on every call, which
+        # doubled the time at 10 000 points
+        s = self._scratch
+        if s is None or s["n_pts"] != n_pts:
+            per_axis = range(self.dim)
+            s = self._scratch = {
+                "n_pts": n_pts,
+                "idx": [np.empty(n_pts, dtype=np.int64) for _ in per_axis],
+                "frac": [np.empty(n_pts) for _ in per_axis],
+                "low": [np.empty(n_pts) for _ in per_axis],
+                "clamped": np.empty(n_pts, dtype=bool),
+                "flag": np.empty(n_pts, dtype=bool),
+                "gather": np.empty(n_pts),
+                "cell": np.empty(n_pts, dtype=np.int64),
+                "weight": np.empty(n_pts),
+                "scaled": np.empty(n_pts),
+                "rows": np.empty((len(self._corners), 2, 1 + self.dim, n_pts)),
+                "term": np.empty((1 + self.dim, n_pts)),
+            }
+        return s
 
 
 class PricingKernel:
@@ -208,6 +276,18 @@ class PricingKernel:
         self.interp = GradientInterpolant(field)
         self.xi = discount_and_xi(model)[0]
         self.floor = POSITIVITY_FLOOR_REL * float(self.xi(0.0))
+        self._steps = None
+
+    def euler_steps(self, t0, n_steps):
+        """The per-step constants of n_steps Euler steps on [t0, T].
+
+        They depend on the step alone, so they are built on the first call
+        for a grid and shared by every later one: the noise blocks of a
+        pricing pass take sigma and xi once per step between them.
+        """
+        if self._steps is None or (self._steps.t0, self._steps.n_steps) != (t0, n_steps):
+            self._steps = EulerSteps(self, t0, n_steps)
+        return self._steps
 
     def gamma(self, x, s, step=None):
         """Kernel at path states x and forward time s (theta = T - s)."""
@@ -230,7 +310,38 @@ class PricingKernel:
                 value=float(denom[bad]),
                 floor=self.floor,
             )
-        return self.model.rho * (grad @ sig) / denom[:, None], h_val, n_clamped
+        return self.model.rho * _product(grad, sig) / denom[:, None], h_val, n_clamped
+
+
+class EulerSteps:
+    """What an Euler step of a pricing pass needs besides the paths: the
+    times, theta = T - s, sigma(theta) and xi(theta) per step, the payoff
+    rate (tau - r) D(t0, s) per time and the step lengths."""
+
+    def __init__(self, kernel, t0, n_steps):
+        model = kernel.model
+        T = model.horizon
+        self.t0, self.n_steps = t0, n_steps
+        self.times = np.linspace(t0, T, n_steps + 1)
+        self.theta = [T - s for s in self.times]
+        self.sigma = [np.asarray(kernel.sigma(theta), dtype=float) for theta in self.theta[:-1]]
+        self.xi = [float(kernel.xi(theta)) for theta in self.theta[:-1]]
+        self.coef = payoff_rate(model, t0, self.times)
+        self.dt = np.diff(self.times)
+        # the Euler step uses ds as simulate does, the log-weight the first
+        # grid spacing as girsanov_log_weight does; the two can differ in the
+        # last bit
+        self.ds = (T - t0) / n_steps
+        self.ds_weight = self.times[1] - self.times[0]
+
+
+def _product(a, m, out=None):
+    """a @ m. Where the contracted axis has length 1 it is a broadcast
+    multiply, which is exact: one product and no sum (only the sign of a
+    zero product can differ, as matmul adds it to +0.0)."""
+    if m.shape[0] == 1:
+        return np.multiply(a, m[0], out=out)
+    return np.matmul(a, m, out=out)
 
 
 def simulate(
@@ -338,25 +449,22 @@ def stream_paths(kernel, measures, mu, x0, t0, increments):
     """Price paths in one Euler-Maruyama time loop with O(paths) state.
 
     ``measures`` holds "Q" (tilted drift mu - sigma gamma) and/or "P"
-    (physical drift, Girsanov-reweighted), both driven by ``increments`` of
-    shape (n_paths, n_steps, d) and priced with ``kernel``. Each step takes
-    sigma and xi once, then gamma and h once per measure, adds the trapezoid
-    term of the discounted payoff and, under P, subtracts gamma . dW +
-    1/2 |gamma|^2 ds from the log-weight. The states and log-weights equal
-    those of ``simulate`` and ``girsanov_log_weight`` bit for bit; the
-    payoffs equal ``payoff_discounted`` up to the order of summation. A
-    DegeneracyError carries the measure it was pricing as ``measure``.
+    (physical drift, Girsanov-reweighted), both driven by ``increments`` and
+    priced with ``kernel``. The increments are laid out step-major, shape
+    (n_steps, n_paths, d), so that step k reads the contiguous rows
+    ``increments[k]``; path-major noise ``incs`` of ``simulate``'s layout
+    passes as ``np.ascontiguousarray(incs.transpose(1, 0, 2))``. Each step
+    takes sigma and xi from ``kernel.euler_steps``, then gamma and h once
+    per measure, adds the trapezoid term of the discounted payoff and, under
+    P, subtracts gamma . dW + 1/2 |gamma|^2 ds from the log-weight. The
+    states and log-weights equal those of ``simulate`` and
+    ``girsanov_log_weight`` bit for bit; the payoffs equal
+    ``payoff_discounted`` up to the order of summation. A DegeneracyError
+    carries the measure it was pricing as ``measure``.
     """
-    model, sigma = kernel.model, kernel.sigma
-    T = model.horizon
-    n_paths, n_steps, _ = increments.shape
-    times = np.linspace(t0, T, n_steps + 1)
-    # the Euler step uses ds as simulate does, the log-weight the first grid
-    # spacing as girsanov_log_weight does; the two can differ in the last bit
-    ds = (T - t0) / n_steps
-    ds_weight = times[1] - times[0]
-    dt = np.diff(times)
-    coef = payoff_rate(model, t0, times)
+    n_steps, n_paths, _ = increments.shape
+    steps = kernel.euler_steps(t0, n_steps)
+    coef, dt = steps.coef, steps.dt
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     sums = {
         m: PathSums(
@@ -367,6 +475,8 @@ def stream_paths(kernel, measures, mu, x0, t0, increments):
         for m in measures
     }
     integrand = {}
+    # per-step products, written in place
+    noise, tilt, move = (np.empty((n_paths, x0.shape[0])) for _ in range(3))
 
     def add_integrand(m, k, h_val):
         y = coef[k] * h_val
@@ -375,11 +485,9 @@ def stream_paths(kernel, measures, mu, x0, t0, increments):
         integrand[m] = y
 
     for k in range(n_steps):
-        theta = T - times[k]
-        sig = np.asarray(sigma(theta), dtype=float)
-        xi_t = float(kernel.xi(theta))
-        dw = increments[:, k, :]
-        noise = dw @ sig.T
+        theta, sig, xi_t = steps.theta[k], steps.sigma[k], steps.xi[k]
+        dw = increments[k]
+        _product(dw, sig.T, noise)
         for m, ps in sums.items():
             x = ps.state
             try:
@@ -391,12 +499,15 @@ def stream_paths(kernel, measures, mu, x0, t0, increments):
             add_integrand(m, k, h_val)
             drift = np.asarray(mu(x, theta), dtype=float)
             if m == "Q":
-                drift = drift - gam @ sig.T
+                drift = drift - _product(gam, sig.T, tilt)
             else:
-                ps.log_weight -= _dot(gam, dw) + 0.5 * _dot(gam, gam) * ds_weight
-            ps.state = x + drift * ds + noise
+                ps.log_weight -= _dot(gam, dw) + 0.5 * _dot(gam, gam) * steps.ds_weight
+            # x + drift ds + noise, summed in that order into the state
+            np.multiply(drift, steps.ds, out=move)
+            x += move
+            x += noise
     for m, ps in sums.items():
-        add_integrand(m, n_steps, model.principal_h(ps.state, T - times[-1]))
+        add_integrand(m, n_steps, kernel.model.principal_h(ps.state, steps.theta[-1]))
     return sums
 
 
@@ -470,15 +581,18 @@ def price_and_compare(
     Paths are processed in fixed-size chunks; chunk c draws its increments
     from stream c of the master seed, so a rerun with the same seed is
     bit-identical. Each chunk's noise is drawn and streamed in consecutive
-    blocks of at most NOISE_BLOCK_BYTES. Consecutive draws concatenate to
-    the chunk's single draw and every per-path quantity is elementwise, so
-    the results do not depend on the block size, and peak memory is
-    O(block + paths), not O(chunk x steps). A DegeneracyError names the path
-    (by its index within the chunk) and the step of an unblocked pass: each
-    block of a failing chunk runs to its own first failure, and the chunk
-    raises the one that pass meets first. The pw report adds the Girsanov
-    weights' effective sample size (sum w)^2 / sum w^2 and their largest
-    weight.
+    blocks of at most NOISE_BLOCK_BYTES. A block is laid out step-major,
+    (n_steps, paths, d), for ``stream_paths``, and filled from consecutive
+    sub-draws of _SUB_DRAW_ROWS paths (``draw_step_major``). Consecutive
+    draws concatenate to the chunk's single draw and every per-path quantity
+    is elementwise, so the results depend on neither the block nor the
+    sub-draw size, and peak memory is O(block + paths), not O(chunk x
+    steps). The blocks share one ``EulerSteps``. A DegeneracyError names
+    the path (by its index within the chunk) and the step of an unblocked
+    pass: each block of a failing chunk runs to its own first failure, and
+    the chunk raises the one that pass meets first. The pw report adds the
+    Girsanov weights' effective sample size (sum w)^2 / sum w^2 and their
+    largest weight.
     """
     if mode not in ("q", "pw", "both"):
         raise ContractViolationError("mode must be q, pw or both", mode=mode)
@@ -511,7 +625,7 @@ def price_and_compare(
         rng = make_rng(seed, stream)
         failures = []
         for lo, hi in path_blocks(batch, n_steps, d_noise):
-            incs = draw_increments(rng, hi - lo, n_steps, d_noise, ds)
+            incs = draw_step_major(rng, hi - lo, n_steps, d_noise, ds)
             try:
                 blocks.append(stream_paths(kernel, run, mu, x0, price_time, incs))
             except DegeneracyError as err:

@@ -324,7 +324,8 @@ class TestStreamedPass:
         )
 
     def stream(self, shared, measures):
-        return stream_paths(shared["kernel"], measures, shared["mu"], shared["x0"], self.T0, shared["incs"])
+        incs = np.ascontiguousarray(shared["incs"].transpose(1, 0, 2))
+        return stream_paths(shared["kernel"], measures, shared["mu"], shared["x0"], self.T0, incs)
 
     def test_pw_log_weights_bitwise(self, shared):
         ens = self.simulate(shared, "P")
@@ -398,6 +399,30 @@ class TestStreamedPass:
         noise_block = montecarlo.NOISE_BLOCK_BYTES + n_steps * 8  # a lone last path joins a block
         assert peak < 1.5 * noise_block + 32 * n_paths * 8
 
+    def test_step_major_noise_is_not_a_second_block(self):
+        # one full 16 MiB block of 4194 paths, so that the noise outweighs
+        # the O(paths) state: laying the block out step-major by a transposed
+        # copy of a whole draw would hold two blocks (about 33 MiB)
+        n_steps = 500
+        n_paths = montecarlo.NOISE_BLOCK_BYTES // (n_steps * 8)
+        assert len(list(montecarlo.path_blocks(n_paths, n_steps, 1))) == 1
+        field = flat_price_field(GridSpec(1, 8.0, 101, 20, 1.0))
+
+        def run():
+            return price_and_compare(
+                make_benchmark_model(), field, constant_sigma([[1.0]]), zero_drift(1), x0=[0.0],
+                n_paths=n_paths, n_steps=n_steps, seed=3, mode="both",
+            )
+
+        run()  # first call loads the quadrature module; keep it out of the trace
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * montecarlo.NOISE_BLOCK_BYTES + 32 * n_paths * 8
+
 
 @pytest.mark.parametrize("mode", ["q", "both"])
 def test_degeneracy_error_holds_one_noise_block_plus_o_paths(mode):
@@ -470,6 +495,9 @@ class TestNoiseBlocks:
         real = montecarlo.stream_paths
 
         def recording(kernel, measures, mu, x0, t0, increments):
+            # each step of a block reads one contiguous row of its noise
+            assert increments.flags.c_contiguous
+            assert (increments.shape[0], increments.shape[2]) == (self.N_STEPS, d)
             blocks.append(real(kernel, measures, mu, x0, t0, increments))
             return blocks[-1]
 
@@ -491,6 +519,7 @@ class TestNoiseBlocks:
             batch = min(chunk, n_paths - start)
             incs = make_rng(seed, stream).standard_normal((batch, self.N_STEPS, d))
             incs *= np.sqrt((1.0 - 0.1) / self.N_STEPS)
+            incs = np.ascontiguousarray(incs.transpose(1, 0, 2))
             out.append(stream_paths(kernel, ("Q", "P"), setup["mu"], setup["x0"], 0.1, incs))
         return out
 
@@ -518,6 +547,21 @@ class TestNoiseBlocks:
         assert got.tobytes() == np.concatenate([w["P"].log_weight for w in whole]).tobytes()
         one_block, _ = self.price(setup, n_paths, chunk, n_paths + 1, monkeypatch)
         assert rep == one_block
+
+    def test_sub_draw_size_cannot_change_a_bit(self, setup, monkeypatch):
+        # blocks of 300, 300, 100 and 301 paths; sub-draws of one path, of 7
+        # (which divides no block) and of a whole block against the default
+        rep, blocks = self.price(setup, 1001, 700, 300, monkeypatch)
+        assert [len(b["Q"].payoff) for b in blocks] == [300, 300, 100, 301]
+        for rows in (1, 7, 301):
+            monkeypatch.setattr(montecarlo, "_SUB_DRAW_ROWS", rows)
+            other, other_blocks = self.price(setup, 1001, 700, 300, monkeypatch)
+            assert other == rep
+            for got, want in zip(other_blocks, blocks):
+                for m in ("Q", "P"):
+                    assert got[m].state.tobytes() == want[m].state.tobytes()
+                    assert got[m].payoff.tobytes() == want[m].payoff.tobytes()
+                assert got["P"].log_weight.tobytes() == want["P"].log_weight.tobytes()
 
     def degeneracy_payloads(self, monkeypatch, values, mode, seed, n_steps=50):
         """Error payloads of one unblocked pass and of blocks of 64 paths."""
@@ -618,10 +662,14 @@ def test_both_mode_tallies_clamps_per_measure(bench_setup):
     assert dual.q.clamp_fraction != dual.pw.clamp_fraction
 
 
-@pytest.mark.parametrize("mode", ["q", "pw", "both"])
-def test_sigma_and_xi_evaluated_once_per_step(mode, bench_setup, monkeypatch):
+@pytest.mark.parametrize(
+    "mode, n_blocks",
+    [pytest.param(m, 1, id=m) for m in ("q", "pw", "both")]
+    + [pytest.param(m, 3, id=f"{m}-3-blocks") for m in ("q", "pw", "both")],
+)
+def test_sigma_and_xi_evaluated_once_per_step(mode, n_blocks, bench_setup, monkeypatch):
     # one sigma for the noise width and one xi for the positivity floor, then
-    # one of each per Euler step of the one block, whatever the measures
+    # one of each per Euler step, whatever the measures and the noise blocks
     calls = {"sigma": 0, "xi": 0}
     sigma = bench_setup["sigma"]
 
@@ -642,7 +690,9 @@ def test_sigma_and_xi_evaluated_once_per_step(mode, bench_setup, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "discount_and_xi", counted_discount_and_xi)
     n_paths, n_steps = 300, 40
-    assert len(list(montecarlo.path_blocks(n_paths, n_steps, 1))) == 1
+    if n_blocks > 1:
+        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", n_paths // n_blocks * n_steps * 8)
+    assert len(list(montecarlo.path_blocks(n_paths, n_steps, 1))) == n_blocks
     price_and_compare(
         bench_setup["model"], bench_setup["field"], counted_sigma, bench_setup["mu"], x0=[0.0],
         n_paths=n_paths, n_steps=n_steps, seed=2, mode=mode,
