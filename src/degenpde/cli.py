@@ -271,9 +271,9 @@ def cmd_diagnose_degeneracy(args):
         x0 = np.asarray(mc["x0"])
         d_noise = cfg.sigma.matrix.shape[1]
         times = np.linspace(0.0, cfg.horizon, n_steps + 1)
-        # simulate(seed=seed)'s draw, taken in blocks that keep only each
-        # path's quadratic variation and terminal projection; the check then
-        # uses the largest drift of all blocks, as one unblocked pass would
+        # simulate(seed=seed)'s step-major draw, in blocks of paths that keep
+        # only each path's quadratic variation and terminal projection; the
+        # check uses the largest drift of all blocks, as one pass would
         rng = make_rng(seed)
         qv_max, drift_max, terminal = [], [], []
         # a block holds, per path and step, the noise, the states and the

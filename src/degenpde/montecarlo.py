@@ -47,9 +47,9 @@ POSITIVITY_FLOOR_REL = 1e-8
 # Bytes of per-path-and-step arrays held at once when paths are simulated in
 # blocks; the results do not depend on it.
 NOISE_BLOCK_BYTES = 16 * 2**20
-# Paths per sub-draw of a step-major noise block (draw_step_major); the
-# results do not depend on it.
-_SUB_DRAW_ROWS = 128
+# Paths per sub-draw of a noise draw (draw_increments); the results do not
+# depend on it.
+_SUB_DRAW_ROWS = 64
 
 
 def path_blocks(n_paths, n_steps, width):
@@ -74,25 +74,20 @@ def make_rng(seed, stream=None):
 
 
 def draw_increments(rng, n_paths, n_steps, d_noise, ds):
-    """Brownian increments of shape (n_paths, n_steps, d_noise) over steps ds."""
-    incs = rng.standard_normal((n_paths, n_steps, d_noise))
-    incs *= np.sqrt(ds)
-    return incs
+    """Brownian increments over steps ds, laid out step-major, (n_steps, n_paths, d_noise).
 
-
-def draw_step_major(rng, n_paths, n_steps, d_noise, ds):
-    """``draw_increments``' noise laid out step-major, (n_steps, n_paths, d_noise).
-
-    The paths are drawn in consecutive sub-draws of _SUB_DRAW_ROWS, each
-    copied into place while it is small enough to stay in cache. Consecutive
-    draws concatenate bit for bit to one draw, so the result equals
-    ``draw_increments(...).transpose(1, 0, 2)`` whatever the sub-draw size,
-    and no second copy of the block is ever held.
+    Path i's increments are row i of one (n_paths, n_steps, d_noise) normal
+    draw. The paths are drawn in consecutive sub-draws of _SUB_DRAW_ROWS,
+    each copied into place while it is small enough to stay in cache, and
+    freed before the next. Consecutive draws concatenate bit for bit to one
+    draw, so the result does not depend on the sub-draw size, and no second
+    copy of the noise is held.
     """
     out = np.empty((n_steps, n_paths, d_noise))
     for lo in range(0, n_paths, _SUB_DRAW_ROWS):
         hi = min(lo + _SUB_DRAW_ROWS, n_paths)
-        out[:, lo:hi] = draw_increments(rng, hi - lo, n_steps, d_noise, ds).transpose(1, 0, 2)
+        out[:, lo:hi] = rng.standard_normal((hi - lo, n_steps, d_noise)).transpose(1, 0, 2)
+    out *= np.sqrt(ds)
     return out
 
 
@@ -101,7 +96,7 @@ class PathEnsemble:
     """Simulated paths with retained driving increments and measure tag."""
 
     states: np.ndarray  # (n_paths, n_steps + 1, N)
-    increments: np.ndarray  # (n_paths, n_steps, d)
+    increments: np.ndarray  # (n_steps, n_paths, d), step-major
     times: np.ndarray  # (n_steps + 1,)
     measure: str  # "P" | "Q"
 
@@ -361,7 +356,9 @@ def simulate(
 
     measure "P" uses the physical drift mu(x, T-s); measure "Q" needs the
     pricing kernel and uses mu - sigma gamma. The driving increments are
-    retained for reweighting; passing ``increments`` overrides the generator
+    ``draw_increments``' step-major noise, so step k reads the contiguous row
+    ``increments[k]``; they are retained for reweighting. Passing
+    ``increments``, shape (n_steps, n_paths, d), overrides the generator
     (used for common-noise refinement checks).
     """
     if measure not in ("P", "Q"):
@@ -377,9 +374,9 @@ def simulate(
         increments = draw_increments(make_rng(seed), n_paths, n_steps, d_noise, ds)
     else:
         increments = np.asarray(increments, dtype=float)
-        if increments.shape != (n_paths, n_steps, d_noise):
+        if increments.shape != (n_steps, n_paths, d_noise):
             raise ContractViolationError(
-                "increments have wrong shape", expected=(n_paths, n_steps, d_noise)
+                "increments have wrong shape", expected=(n_steps, n_paths, d_noise)
             )
     states = np.empty((n_paths, n_steps + 1, dim))
     states[:, 0, :] = x0
@@ -391,12 +388,13 @@ def simulate(
         drift = np.asarray(mu(x, theta), dtype=float)
         if measure == "Q":
             drift = drift - kernel.gamma(x, s, step=k) @ sig_t
-        states[:, k + 1, :] = x + drift * ds + increments[:, k, :] @ sig_t
+        states[:, k + 1, :] = x + drift * ds + increments[k] @ sig_t
     return PathEnsemble(states=states, increments=increments, times=times, measure=measure)
 
 
 def girsanov_log_weight(ensemble, kernel):
-    """Per-path log dQ/dP along physical paths, in stochastic-exponential form."""
+    """Per-path log dQ/dP along physical paths, in stochastic-exponential
+    form; step k reads the ensemble's noise as the row ``increments[k]``."""
     if ensemble.measure != "P":
         raise ContractViolationError("reweighting needs paths simulated under P")
     times = ensemble.times
@@ -404,7 +402,7 @@ def girsanov_log_weight(ensemble, kernel):
     log_w = np.zeros(ensemble.n_paths)
     for k in range(ensemble.n_steps):
         gam = kernel.gamma(ensemble.states[:, k, :], times[k], step=k)
-        dw = ensemble.increments[:, k, :]
+        dw = ensemble.increments[k]
         log_w -= _dot(gam, dw) + 0.5 * _dot(gam, gam) * ds
     return log_w
 
@@ -450,17 +448,16 @@ def stream_paths(kernel, measures, mu, x0, t0, increments):
 
     ``measures`` holds "Q" (tilted drift mu - sigma gamma) and/or "P"
     (physical drift, Girsanov-reweighted), both driven by ``increments`` and
-    priced with ``kernel``. The increments are laid out step-major, shape
-    (n_steps, n_paths, d), so that step k reads the contiguous rows
-    ``increments[k]``; path-major noise ``incs`` of ``simulate``'s layout
-    passes as ``np.ascontiguousarray(incs.transpose(1, 0, 2))``. Each step
-    takes sigma and xi from ``kernel.euler_steps``, then gamma and h once
-    per measure, adds the trapezoid term of the discounted payoff and, under
-    P, subtracts gamma . dW + 1/2 |gamma|^2 ds from the log-weight. The
-    states and log-weights equal those of ``simulate`` and
-    ``girsanov_log_weight`` bit for bit; the payoffs equal
-    ``payoff_discounted`` up to the order of summation. A DegeneracyError
-    carries the measure it was pricing as ``measure``.
+    priced with ``kernel``. The increments are ``draw_increments``'
+    step-major noise, shape (n_steps, n_paths, d), so that step k reads the
+    contiguous rows ``increments[k]``. Each step takes sigma and xi from
+    ``kernel.euler_steps``, then gamma and h once per measure, adds the
+    trapezoid term of the discounted payoff and, under P, subtracts
+    gamma . dW + 1/2 |gamma|^2 ds from the log-weight. The states and
+    log-weights equal those of ``simulate`` and ``girsanov_log_weight`` bit
+    for bit; the payoffs equal ``payoff_discounted`` up to the order of
+    summation. A DegeneracyError carries the measure it was pricing as
+    ``measure``.
     """
     n_steps, n_paths, _ = increments.shape
     steps = kernel.euler_steps(t0, n_steps)
@@ -581,9 +578,8 @@ def price_and_compare(
     Paths are processed in fixed-size chunks; chunk c draws its increments
     from stream c of the master seed, so a rerun with the same seed is
     bit-identical. Each chunk's noise is drawn and streamed in consecutive
-    blocks of at most NOISE_BLOCK_BYTES. A block is laid out step-major,
-    (n_steps, paths, d), for ``stream_paths``, and filled from consecutive
-    sub-draws of _SUB_DRAW_ROWS paths (``draw_step_major``). Consecutive
+    blocks of at most NOISE_BLOCK_BYTES, each a step-major ``draw_increments``
+    filled from consecutive sub-draws of _SUB_DRAW_ROWS paths. Consecutive
     draws concatenate to the chunk's single draw and every per-path quantity
     is elementwise, so the results depend on neither the block nor the
     sub-draw size, and peak memory is O(block + paths), not O(chunk x
@@ -625,7 +621,7 @@ def price_and_compare(
         rng = make_rng(seed, stream)
         failures = []
         for lo, hi in path_blocks(batch, n_steps, d_noise):
-            incs = draw_step_major(rng, hi - lo, n_steps, d_noise, ds)
+            incs = draw_increments(rng, hi - lo, n_steps, d_noise, ds)
             try:
                 blocks.append(stream_paths(kernel, run, mu, x0, price_time, incs))
             except DegeneracyError as err:

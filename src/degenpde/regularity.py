@@ -570,7 +570,7 @@ class RegularityMeter:
 
     def __init__(self, grid, collar, max_offset):
         self.grid = grid
-        self.stride = max(1, (grid.steps + 1) // MAX_REGULARITY_SLICES)
+        self.stride = max(1, math.ceil(grid.steps / (MAX_REGULARITY_SLICES - 1)))
         self._collar = collar
         self._plan = _offset_plan(grid, max_offset, collar)
         self.lipschitz = LipschitzMeter(grid, collar)

@@ -189,6 +189,21 @@ x0 = 0.0
         assert blocked == self.run(config, self.N_PATHS, monkeypatch, capsys)
         assert blocked[0] == 0 and blocked[1]["projection"]["n_paths"] == self.N_PATHS
 
+    def test_each_block_reads_step_major_noise(self, config, monkeypatch, capsys):
+        from degenpde import cli
+
+        real, shapes = cli.simulate, []
+
+        def recording(*args, increments, **kwargs):
+            # each step of a block reads one contiguous row of its noise
+            assert increments.flags.c_contiguous
+            shapes.append(increments.shape)
+            return real(*args, increments=increments, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", recording)
+        assert self.run(config, self.ROWS, monkeypatch, capsys)[0] == 0
+        assert shapes == [(self.N_STEPS, self.ROWS, 1)] * (self.N_PATHS // self.ROWS)
+
     def test_peak_memory_is_one_block_plus_o_paths(self, config, monkeypatch, capsys):
         from degenpde import cli, montecarlo
 
@@ -231,7 +246,7 @@ x0 = 0.0
         for lo in range(0, self.N_PATHS, self.ROWS):
             ens = simulate(
                 sigma, mu, [0.0, 0.0], 0.0, 1.0, self.N_STEPS, self.ROWS,
-                increments=(dw[lo : lo + self.ROWS, :, None]),
+                increments=dw[lo : lo + self.ROWS].T[:, :, None],
             )
             try:
                 projection_paths(ens, decomp, mu, horizon=1.0)

@@ -11,6 +11,7 @@ from degenpde.montecarlo import (
     GradientInterpolant,
     DualityReport,
     PricingKernel,
+    draw_increments,
     girsanov_log_weight,
     make_rng,
     payoff_discounted,
@@ -74,6 +75,16 @@ class TestSimulate:
         with pytest.raises(ContractViolationError):
             simulate(sigma, zero_drift(1), [0.0], 0.0, 1.0, 10, 10, measure="Q")
 
+    def test_path_major_noise_refused(self):
+        sigma = constant_sigma([[1.0]])
+        n_paths, n_steps = 30, 20
+        with pytest.raises(ContractViolationError) as err:
+            simulate(
+                sigma, zero_drift(1), [0.0], 0.0, 1.0, n_steps, n_paths,
+                increments=np.zeros((n_paths, n_steps, 1)),
+            )
+        assert err.value.details["expected"] == (n_steps, n_paths, 1)
+
     def test_increment_variance(self):
         sigma = constant_sigma([[1.0]])
         ens = simulate(sigma, zero_drift(1), [0.0], 0.0, 1.0, 40, 50_000, seed=3)
@@ -95,7 +106,7 @@ class TestGirsanovWeights:
         ens = simulate(sigma, zero_drift(1), [0.0], 0.0, 1.0, 1, 1000, seed=9)
         ds = 1.0
         log_w = girsanov_log_weight(ens, ConstantKernel([g]))
-        expected = -g * ens.increments[:, 0, 0] - 0.5 * g**2 * ds
+        expected = -g * ens.increments[0, :, 0] - 0.5 * g**2 * ds
         np.testing.assert_allclose(log_w, expected, atol=1e-14)
 
     def test_weight_mean_is_one(self):
@@ -279,8 +290,8 @@ class TestPriceAndCompare:
         n_paths, fine_steps = 100_000, 200
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
         ds_fine = 1.0 / fine_steps
-        fine = rng.standard_normal((n_paths, fine_steps, 1)) * np.sqrt(ds_fine)
-        coarse = fine.reshape(n_paths, fine_steps // 2, 2, 1).sum(axis=2)
+        fine = draw_increments(rng, n_paths, fine_steps, 1, ds_fine)
+        coarse = fine.reshape(fine_steps // 2, 2, n_paths, 1).sum(axis=1)
         prices = {}
         ses = {}
         for label, steps, incs in (("fine", fine_steps, fine), ("coarse", fine_steps // 2, coarse)):
@@ -303,8 +314,7 @@ class TestStreamedPass:
     def shared(self, bench_setup):
         kernel = PricingKernel(bench_setup["model"], bench_setup["field"], bench_setup["sigma"])
         ds = (1.0 - self.T0) / self.N_STEPS
-        incs = make_rng(11, 0).standard_normal((self.N_PATHS, self.N_STEPS, 1))
-        incs *= np.sqrt(ds)
+        incs = draw_increments(make_rng(11, 0), self.N_PATHS, self.N_STEPS, 1, ds)
         return dict(bench_setup, kernel=kernel, incs=incs, x0=[0.3])
 
     @pytest.fixture()
@@ -313,8 +323,7 @@ class TestStreamedPass:
         setup = _coupled_2d_setup()
         kernel = PricingKernel(setup["model"], setup["field"], setup["sigma"])
         ds = (1.0 - self.T0) / self.N_STEPS
-        incs = make_rng(11, 0).standard_normal((self.N_PATHS, self.N_STEPS, 2))
-        incs *= np.sqrt(ds)
+        incs = draw_increments(make_rng(11, 0), self.N_PATHS, self.N_STEPS, 2, ds)
         return dict(setup, kernel=kernel, incs=incs)
 
     def simulate(self, shared, measure):
@@ -324,8 +333,7 @@ class TestStreamedPass:
         )
 
     def stream(self, shared, measures):
-        incs = np.ascontiguousarray(shared["incs"].transpose(1, 0, 2))
-        return stream_paths(shared["kernel"], measures, shared["mu"], shared["x0"], self.T0, incs)
+        return stream_paths(shared["kernel"], measures, shared["mu"], shared["x0"], self.T0, shared["incs"])
 
     def test_pw_log_weights_bitwise(self, shared):
         ens = self.simulate(shared, "P")
@@ -550,13 +558,19 @@ class TestNoiseBlocks:
 
     def test_sub_draw_size_cannot_change_a_bit(self, setup, monkeypatch):
         # blocks of 300, 300, 100 and 301 paths; sub-draws of one path, of 7
-        # (which divides no block) and of a whole block against the default
+        # (which divides no block) and of a whole block against the default.
+        # simulate draws 301 paths with the same sub-draws
         rep, blocks = self.price(setup, 1001, 700, 300, monkeypatch)
         assert [len(b["Q"].payoff) for b in blocks] == [300, 300, 100, 301]
+        simulated = lambda: simulate(
+            setup["sigma"], setup["mu"], setup["x0"], 0.1, 1.0, self.N_STEPS, 301, seed=5
+        ).states.tobytes()
+        states = simulated()
         for rows in (1, 7, 301):
             monkeypatch.setattr(montecarlo, "_SUB_DRAW_ROWS", rows)
             other, other_blocks = self.price(setup, 1001, 700, 300, monkeypatch)
             assert other == rep
+            assert simulated() == states
             for got, want in zip(other_blocks, blocks):
                 for m in ("Q", "P"):
                     assert got[m].state.tobytes() == want[m].state.tobytes()

@@ -403,6 +403,22 @@ class TestSobolevNorms:
         assert meter.sobolev_norms() == solution_sobolev_norms(field, 4, meter.stride)
 
 
+@pytest.mark.parametrize("steps", [1, 158, 159, 160, 161, 309, 317, 318, 319, 320, 321, 500])
+def test_regularity_meter_differentiates_at_most_the_cap(steps):
+    # the slices on the stride and the last one, with the smallest stride
+    # that keeps them within MAX_REGULARITY_SLICES
+    cap = regularity.MAX_REGULARITY_SLICES
+    grid = GridSpec(1, 8.0, 41, steps, 1.0)
+    meter = RegularityMeter(grid, 4, None)
+    u = np.cos(grid.axes[0])
+    for k in range(steps + 1):
+        meter.take(k, u)
+    slices = lambda stride: sorted(set(range(0, steps + 1, stride)) | {steps})
+    assert meter.indices == slices(meter.stride)
+    assert len(meter.indices) <= cap
+    assert meter.stride == 1 or len(slices(meter.stride - 1)) > cap
+
+
 class TestCrossInvariants:
     def test_second_differences_bounded_by_hessian_norm(self, heat_setup):
         # second difference quotients of a smooth slice never exceed twice
