@@ -24,7 +24,7 @@ from .degeneracy import (
     projection_paths,
 )
 from .errors import ConfigurationError, DegenPdeError
-from .montecarlo import draw_increments, make_rng, path_blocks, price_and_compare, simulate
+from .montecarlo import make_rng, map_blocks, price_and_compare, simulate
 # The stored-field measures (field_sup_norms ... solution_sobolev_norms and
 # residual_field) go unused here; they stay imported because bench/tracing.py
 # wraps each layer's functions under their names in this module.
@@ -271,24 +271,22 @@ def cmd_diagnose_degeneracy(args):
         x0 = np.asarray(mc["x0"])
         d_noise = cfg.sigma.matrix.shape[1]
         times = np.linspace(0.0, cfg.horizon, n_steps + 1)
-        # simulate(seed=seed)'s step-major draw, in blocks of paths that keep
-        # only each path's quadratic variation and terminal projection; the
-        # check uses the largest drift of all blocks, as one pass would
-        rng = make_rng(seed)
-        qv_max, drift_max, terminal = [], [], []
-        # a block holds, per path and step, the noise, the states and the
-        # projection's pi, drift and residual
-        width = d_noise + cfg.dim + 3 * decomp.m
-        for lo, hi in path_blocks(n_paths, n_steps, width):
-            incs = draw_increments(rng, hi - lo, n_steps, d_noise, cfg.horizon / n_steps)
+
+        def project(lo, incs):
+            # one block of simulate(seed=seed)'s paths, kept only as its
+            # largest quadratic variation and drift and its terminal pi
             ens = simulate(
-                cfg.sigma, cfg.mu, x0, 0.0, cfg.horizon, n_steps, hi - lo, measure="P", increments=incs
+                cfg.sigma, cfg.mu, x0, 0.0, cfg.horizon, n_steps, incs.shape[1], measure="P", increments=incs
             )
             pp = projection_paths(ens, decomp, cfg.mu, cfg.horizon, check=False)
-            qv_max.append(pp.quadratic_variation.max())
-            drift_max.append(np.abs(pp.drift).max())
-            terminal.append(pp.pi[:, -1, :].copy())
-            del incs, ens, pp
+            return pp.quadratic_variation.max(), np.abs(pp.drift).max(), pp.pi[:, -1, :].copy()
+
+        # a block holds, per path and step, the noise, the states and the
+        # projection's pi, drift and residual; the check uses the largest
+        # drift of all blocks, as one pass would
+        width = d_noise + cfg.dim + 3 * decomp.m
+        blocks = map_blocks(project, make_rng(seed), n_paths, n_steps, d_noise, cfg.horizon / n_steps, width)
+        qv_max, drift_max, terminal = zip(*blocks)
         worst_qv = float(np.max(qv_max))
         check_projection(worst_qv, float(np.max(drift_max)), cfg.horizon, times[1] - times[0])
         report["projection"] = {

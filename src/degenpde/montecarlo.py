@@ -32,6 +32,8 @@ __all__ = [
     "PathEnsemble",
     "GradientInterpolant",
     "PricingKernel",
+    "EulerSteps",
+    "map_blocks",
     "simulate",
     "girsanov_log_weight",
     "payoff_discounted",
@@ -52,19 +54,25 @@ NOISE_BLOCK_BYTES = 16 * 2**20
 _SUB_DRAW_ROWS = 64
 
 
-def path_blocks(n_paths, n_steps, width):
-    """(lo, hi) bounds of consecutive path blocks within NOISE_BLOCK_BYTES.
+def map_blocks(fn, rng, n_paths, n_steps, d_noise, ds, width):
+    """[fn(lo, noise) for each block of consecutive paths, lo its first].
 
-    A block holds ``width`` doubles per path and step. No block is a lone
-    path unless ``n_paths`` is 1: numpy multiplies a one-row matrix by
-    another route than a taller one, and the last bits can differ.
+    A block holds ``width`` doubles per path and step within
+    NOISE_BLOCK_BYTES. Its noise is the next ``draw_increments`` from
+    ``rng``, so the blocks' noise concatenates on the path axis to one draw
+    of ``n_paths``. A block is drawn only after ``fn`` has returned for the
+    one before, which frees that noise unless ``fn`` keeps it. No block is
+    a lone path unless ``n_paths`` is 1: numpy multiplies a one-row matrix
+    by another route than a taller one, and the last bits can differ.
     """
     rows = max(2, NOISE_BLOCK_BYTES // (n_steps * width * 8))
+    out = []
     lo = 0
     while lo < n_paths:
         hi = n_paths if n_paths - lo <= rows + 1 else lo + rows
-        yield lo, hi
+        out.append(fn(lo, draw_increments(rng, hi - lo, n_steps, d_noise, ds)))
         lo = hi
+    return out
 
 
 def make_rng(seed, stream=None):
@@ -271,18 +279,6 @@ class PricingKernel:
         self.interp = GradientInterpolant(field)
         self.xi = discount_and_xi(model)[0]
         self.floor = POSITIVITY_FLOOR_REL * float(self.xi(0.0))
-        self._steps = None
-
-    def euler_steps(self, t0, n_steps):
-        """The per-step constants of n_steps Euler steps on [t0, T].
-
-        They depend on the step alone, so they are built on the first call
-        for a grid and shared by every later one: the noise blocks of a
-        pricing pass take sigma and xi once per step between them.
-        """
-        if self._steps is None or (self._steps.t0, self._steps.n_steps) != (t0, n_steps):
-            self._steps = EulerSteps(self, t0, n_steps)
-        return self._steps
 
     def gamma(self, x, s, step=None):
         """Kernel at path states x and forward time s (theta = T - s)."""
@@ -309,14 +305,16 @@ class PricingKernel:
 
 
 class EulerSteps:
-    """What an Euler step of a pricing pass needs besides the paths: the
-    times, theta = T - s, sigma(theta) and xi(theta) per step, the payoff
-    rate (tau - r) D(t0, s) per time and the step lengths."""
+    """What n_steps Euler steps on [t0, T] of a pricing pass need besides
+    the paths: the times, theta = T - s, sigma(theta) and xi(theta) per step,
+    the payoff rate (tau - r) D(t0, s) per time and the step lengths. They
+    depend on the step alone, so a pass builds them once and every noise
+    block reads them: sigma and xi are taken once per step."""
 
     def __init__(self, kernel, t0, n_steps):
         model = kernel.model
         T = model.horizon
-        self.t0, self.n_steps = t0, n_steps
+        self.n_steps = n_steps
         self.times = np.linspace(t0, T, n_steps + 1)
         self.theta = [T - s for s in self.times]
         self.sigma = [np.asarray(kernel.sigma(theta), dtype=float) for theta in self.theta[:-1]]
@@ -443,7 +441,7 @@ class PathSums:
     clamped: int = 0  # path evaluations the interpolant clamped to its box
 
 
-def stream_paths(kernel, measures, mu, x0, t0, increments):
+def stream_paths(kernel, measures, mu, x0, steps, increments):
     """Price paths in one Euler-Maruyama time loop with O(paths) state.
 
     ``measures`` holds "Q" (tilted drift mu - sigma gamma) and/or "P"
@@ -451,8 +449,8 @@ def stream_paths(kernel, measures, mu, x0, t0, increments):
     priced with ``kernel``. The increments are ``draw_increments``'
     step-major noise, shape (n_steps, n_paths, d), so that step k reads the
     contiguous rows ``increments[k]``. Each step takes sigma and xi from
-    ``kernel.euler_steps``, then gamma and h once per measure, adds the
-    trapezoid term of the discounted payoff and, under P, subtracts
+    ``steps``, the pass's ``EulerSteps``, then gamma and h once per measure,
+    adds the trapezoid term of the discounted payoff and, under P, subtracts
     gamma . dW + 1/2 |gamma|^2 ds from the log-weight. The states and
     log-weights equal those of ``simulate`` and ``girsanov_log_weight`` bit
     for bit; the payoffs equal ``payoff_discounted`` up to the order of
@@ -460,7 +458,8 @@ def stream_paths(kernel, measures, mu, x0, t0, increments):
     ``measure``.
     """
     n_steps, n_paths, _ = increments.shape
-    steps = kernel.euler_steps(t0, n_steps)
+    if n_steps != steps.n_steps:
+        raise ContractViolationError("increments and Euler steps differ in length", expected=steps.n_steps)
     coef, dt = steps.coef, steps.dt
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     sums = {
@@ -577,18 +576,18 @@ def price_and_compare(
     the two on the same noise in one pass and returns a DualityReport.
     Paths are processed in fixed-size chunks; chunk c draws its increments
     from stream c of the master seed, so a rerun with the same seed is
-    bit-identical. Each chunk's noise is drawn and streamed in consecutive
-    blocks of at most NOISE_BLOCK_BYTES, each a step-major ``draw_increments``
-    filled from consecutive sub-draws of _SUB_DRAW_ROWS paths. Consecutive
-    draws concatenate to the chunk's single draw and every per-path quantity
-    is elementwise, so the results depend on neither the block nor the
-    sub-draw size, and peak memory is O(block + paths), not O(chunk x
-    steps). The blocks share one ``EulerSteps``. A DegeneracyError names
-    the path (by its index within the chunk) and the step of an unblocked
-    pass: each block of a failing chunk runs to its own first failure, and
-    the chunk raises the one that pass meets first. The pw report adds the
-    Girsanov weights' effective sample size (sum w)^2 / sum w^2 and their
-    largest weight.
+    bit-identical. ``map_blocks`` draws and streams each chunk's noise in
+    consecutive blocks of at most NOISE_BLOCK_BYTES, each a step-major
+    ``draw_increments`` filled from consecutive sub-draws of _SUB_DRAW_ROWS
+    paths. Consecutive draws concatenate to the chunk's single draw and
+    every per-path quantity is elementwise, so the results depend on neither
+    the block nor the sub-draw size, and peak memory is O(block + paths),
+    not O(chunk x steps). Every block reads the pass's one ``EulerSteps``.
+    A DegeneracyError names the path (by its index within the chunk) and the
+    step of an unblocked pass: each block of a failing chunk runs to its own
+    first failure, and the chunk raises the one that pass meets first. The
+    pw report adds the Girsanov weights' effective sample size
+    (sum w)^2 / sum w^2 and their largest weight.
     """
     if mode not in ("q", "pw", "both"):
         raise ContractViolationError("mode must be q, pw or both", mode=mode)
@@ -614,21 +613,21 @@ def price_and_compare(
     run = [measures[m] for m in modes]
 
     d_noise = np.asarray(sigma(0.0)).shape[1]
-    ds = (model.horizon - price_time) / n_steps
+    steps = EulerSteps(kernel, price_time, n_steps)
+
+    def price_block(lo, incs):
+        try:
+            return stream_paths(kernel, run, mu, x0, steps, incs)
+        except DegeneracyError as err:
+            # named within the chunk; a kept traceback would hold the noise
+            err.details["path"] += lo
+            return err.with_traceback(None)
+
     blocks = []
     for stream, start in enumerate(range(0, n_paths, chunk_size)):
         batch = min(chunk_size, n_paths - start)
-        rng = make_rng(seed, stream)
-        failures = []
-        for lo, hi in path_blocks(batch, n_steps, d_noise):
-            incs = draw_increments(rng, hi - lo, n_steps, d_noise, ds)
-            try:
-                blocks.append(stream_paths(kernel, run, mu, x0, price_time, incs))
-            except DegeneracyError as err:
-                # named within the chunk; a kept traceback would hold the noise
-                err.details["path"] += lo
-                failures.append(err.with_traceback(None))
-            del incs  # free this block's noise before the next one is drawn
+        done = map_blocks(price_block, make_rng(seed, stream), batch, n_steps, d_noise, steps.ds, d_noise)
+        failures = [b for b in done if isinstance(b, DegeneracyError)]
         if failures:
             # an unblocked pass stops at the first step and measure that
             # fail, and names the argmin of the denominator there
@@ -636,6 +635,7 @@ def price_and_compare(
                 failures,
                 key=lambda e: (e.details["step"], run.index(e.measure), e.details["value"], e.details["path"]),
             )
+        blocks += done
 
     reports = {}
     for m in modes:

@@ -10,6 +10,7 @@ from degenpde.families import constant_sigma, linear_drift, zero_drift
 from degenpde.montecarlo import (
     GradientInterpolant,
     DualityReport,
+    EulerSteps,
     PricingKernel,
     draw_increments,
     girsanov_log_weight,
@@ -305,6 +306,26 @@ class TestPriceAndCompare:
         assert abs(prices["fine"] - prices["coarse"]) < max(ses["fine"], ses["coarse"])
 
 
+BLOCK_ROWS = 4
+
+
+@pytest.mark.parametrize("width", [1, 6])
+@pytest.mark.parametrize("n_paths", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS])
+def test_map_blocks_is_one_draw_cut_at_block_bounds(monkeypatch, n_paths, width):
+    # blocks of BLOCK_ROWS paths of ``width`` doubles per step; a lone
+    # last path joins the block before it
+    n_steps, d_noise, ds = 7, 2, 0.01
+    monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", BLOCK_ROWS * n_steps * width * 8)
+    blocks = montecarlo.map_blocks(lambda lo, incs: (lo, incs), make_rng(3), n_paths, n_steps, d_noise, ds, width)
+    sizes = [incs.shape[1] for _, incs in blocks]
+    assert [lo for lo, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
+    assert len(blocks) == max(1, n_paths // BLOCK_ROWS)
+    assert max(sizes) <= BLOCK_ROWS + 1 and (n_paths == 1 or min(sizes) > 1)
+    got = np.concatenate([incs for _, incs in blocks], axis=1)
+    whole = draw_increments(make_rng(3), n_paths, n_steps, d_noise, ds)
+    assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
+
+
 class TestStreamedPass:
     """The streamed loop against simulate, girsanov_log_weight and payoff_discounted."""
 
@@ -333,7 +354,13 @@ class TestStreamedPass:
         )
 
     def stream(self, shared, measures):
-        return stream_paths(shared["kernel"], measures, shared["mu"], shared["x0"], self.T0, shared["incs"])
+        steps = EulerSteps(shared["kernel"], self.T0, self.N_STEPS)
+        return stream_paths(shared["kernel"], measures, shared["mu"], shared["x0"], steps, shared["incs"])
+
+    def test_euler_steps_of_another_length_are_refused(self, shared):
+        steps = EulerSteps(shared["kernel"], self.T0, self.N_STEPS + 1)
+        with pytest.raises(ContractViolationError):
+            stream_paths(shared["kernel"], ("Q",), shared["mu"], shared["x0"], steps, shared["incs"])
 
     def test_pw_log_weights_bitwise(self, shared):
         ens = self.simulate(shared, "P")
@@ -413,7 +440,7 @@ class TestStreamedPass:
         # copy of a whole draw would hold two blocks (about 33 MiB)
         n_steps = 500
         n_paths = montecarlo.NOISE_BLOCK_BYTES // (n_steps * 8)
-        assert len(list(montecarlo.path_blocks(n_paths, n_steps, 1))) == 1
+        assert len(montecarlo.map_blocks(lambda lo, incs: None, make_rng(0), n_paths, n_steps, 1, 1.0, 1)) == 1
         field = flat_price_field(GridSpec(1, 8.0, 101, 20, 1.0))
 
         def run():
@@ -502,11 +529,11 @@ class TestNoiseBlocks:
         blocks = []
         real = montecarlo.stream_paths
 
-        def recording(kernel, measures, mu, x0, t0, increments):
+        def recording(kernel, measures, mu, x0, steps, increments):
             # each step of a block reads one contiguous row of its noise
             assert increments.flags.c_contiguous
             assert (increments.shape[0], increments.shape[2]) == (self.N_STEPS, d)
-            blocks.append(real(kernel, measures, mu, x0, t0, increments))
+            blocks.append(real(kernel, measures, mu, x0, steps, increments))
             return blocks[-1]
 
         monkeypatch.setattr(montecarlo, "stream_paths", recording)
@@ -521,6 +548,7 @@ class TestNoiseBlocks:
     def whole_chunks(self, setup, n_paths, chunk, seed=5):
         """One stream_paths call on each chunk's whole noise, as before blocking."""
         kernel = PricingKernel(setup["model"], setup["field"], setup["sigma"])
+        steps = EulerSteps(kernel, 0.1, self.N_STEPS)
         d = np.asarray(setup["sigma"](0.0)).shape[1]
         out = []
         for stream, start in enumerate(range(0, n_paths, chunk)):
@@ -528,7 +556,7 @@ class TestNoiseBlocks:
             incs = make_rng(seed, stream).standard_normal((batch, self.N_STEPS, d))
             incs *= np.sqrt((1.0 - 0.1) / self.N_STEPS)
             incs = np.ascontiguousarray(incs.transpose(1, 0, 2))
-            out.append(stream_paths(kernel, ("Q", "P"), setup["mu"], setup["x0"], 0.1, incs))
+            out.append(stream_paths(kernel, ("Q", "P"), setup["mu"], setup["x0"], steps, incs))
         return out
 
     @pytest.mark.parametrize(
@@ -706,7 +734,7 @@ def test_sigma_and_xi_evaluated_once_per_step(mode, n_blocks, bench_setup, monke
     n_paths, n_steps = 300, 40
     if n_blocks > 1:
         monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", n_paths // n_blocks * n_steps * 8)
-    assert len(list(montecarlo.path_blocks(n_paths, n_steps, 1))) == n_blocks
+    assert len(montecarlo.map_blocks(lambda lo, incs: None, make_rng(0), n_paths, n_steps, 1, 1.0, 1)) == n_blocks
     price_and_compare(
         bench_setup["model"], bench_setup["field"], counted_sigma, bench_setup["mu"], x0=[0.0],
         n_paths=n_paths, n_steps=n_steps, seed=2, mode=mode,
