@@ -46,26 +46,27 @@ __all__ = [
 ]
 
 POSITIVITY_FLOOR_REL = 1e-8
-# Bytes of per-path-and-step arrays held at once when paths are simulated in
-# blocks; the results do not depend on it.
+# Bytes of per-path-and-step arrays held at once by a block of the pricing
+# pass (price_and_compare) only; the results do not depend on it. Each extra
+# block costs the pass time, so it is larger than diagnose-degeneracy's.
 NOISE_BLOCK_BYTES = 16 * 2**20
 # Paths per sub-draw of a noise draw (draw_increments); the results do not
 # depend on it.
 _SUB_DRAW_ROWS = 64
 
 
-def map_blocks(fn, rng, n_paths, n_steps, d_noise, ds, width):
+def map_blocks(fn, rng, n_paths, n_steps, d_noise, ds, width, block_bytes):
     """[fn(lo, noise) for each block of consecutive paths, lo its first].
 
-    A block holds ``width`` doubles per path and step within
-    NOISE_BLOCK_BYTES. Its noise is the next ``draw_increments`` from
+    A block holds ``width`` doubles per path and step within the caller's
+    ``block_bytes``. Its noise is the next ``draw_increments`` from
     ``rng``, so the blocks' noise concatenates on the path axis to one draw
     of ``n_paths``. A block is drawn only after ``fn`` has returned for the
     one before, which frees that noise unless ``fn`` keeps it. No block is
     a lone path unless ``n_paths`` is 1: numpy multiplies a one-row matrix
     by another route than a taller one, and the last bits can differ.
     """
-    rows = max(2, NOISE_BLOCK_BYTES // (n_steps * width * 8))
+    rows = max(2, block_bytes // (n_steps * width * 8))
     out = []
     lo = 0
     while lo < n_paths:
@@ -626,7 +627,9 @@ def price_and_compare(
     blocks = []
     for stream, start in enumerate(range(0, n_paths, chunk_size)):
         batch = min(chunk_size, n_paths - start)
-        done = map_blocks(price_block, make_rng(seed, stream), batch, n_steps, d_noise, steps.ds, d_noise)
+        done = map_blocks(
+            price_block, make_rng(seed, stream), batch, n_steps, d_noise, steps.ds, d_noise, NOISE_BLOCK_BYTES
+        )
         failures = [b for b in done if isinstance(b, DegeneracyError)]
         if failures:
             # an unblocked pass stops at the first step and measure that

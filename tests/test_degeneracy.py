@@ -168,11 +168,11 @@ x0 = 0.0
         tilted by ``tilt`` radians into the noisy direction."""
         import json
 
-        from degenpde import cli, montecarlo
+        from degenpde import cli
 
         # each block holds noise (1), states (2) and the projection's pi,
         # drift and residual (1 each) per path and step
-        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", rows * self.N_STEPS * 6 * 8)
+        monkeypatch.setattr(cli, "DEGENERACY_BLOCK_BYTES", rows * self.N_STEPS * 6 * 8)
 
         def tilted(sig):
             decomp = kernel_basis(sig)
@@ -205,12 +205,12 @@ x0 = 0.0
         assert shapes == [(self.N_STEPS, self.ROWS, 1)] * (self.N_PATHS // self.ROWS)
 
     def test_peak_memory_is_one_block_plus_o_paths(self, config, monkeypatch, capsys):
-        from degenpde import cli, montecarlo
+        from degenpde import cli
 
         # an eighth of what all paths would hold: noise (1), states (2) and
         # the projection's pi, drift and residual (1 each) per path and step
         block = self.N_PATHS * self.N_STEPS * 6 * 8 // 8
-        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", block)
+        monkeypatch.setattr(cli, "DEGENERACY_BLOCK_BYTES", block)
         run = lambda: cli.main(["diagnose-degeneracy", "--config", config])
         assert run() == 0  # the first run imports what the diagnostics need
         tracemalloc.start()
@@ -261,3 +261,93 @@ x0 = 0.0
         blocked = self.run(config, self.ROWS, monkeypatch, capsys, tilt=above)
         assert blocked[0] == 1 and blocked[1]["error"] == "decomposition_inconsistency"
         assert blocked == self.run(config, self.N_PATHS, monkeypatch, capsys, tilt=above)
+
+
+class TestShippedBlocks:
+    """diagnose-degeneracy at its shipped block budget and the benchmark's
+    2-D size: sigma = (0, 1)^T, 10 000 paths x 200 steps."""
+
+    INI = """
+[model]
+kind = general
+dim = 2
+horizon = 1.0
+sigma = constant:0;1
+mu = {mu}
+lambda = zero
+eta = zero
+value_interval = -0.5,1.5
+initial = constant:0
+
+[grid]
+half_width = 6.0
+nodes = 41
+steps = auto
+
+[mc]
+paths = 10000
+steps = 200
+seed = 7
+x0 = {x0}
+"""
+    N_PATHS, N_STEPS = 10_000, 200
+
+    def config(self, tmp_path, mu, x0):
+        path = tmp_path / "deg.ini"
+        path.write_text(self.INI.format(mu=mu, x0=x0))
+        return str(path)
+
+    def terminal(self, config, monkeypatch, capsys):
+        """The terminal projections, one per path, that the blocked pass
+        hands to the atom check (m = 1)."""
+        from degenpde import cli
+
+        seen = []
+
+        def recording(samples, **kwargs):
+            seen.append(samples)
+            return continuity_diagnostic(samples, **kwargs)
+
+        monkeypatch.setattr(cli, "continuity_diagnostic", recording)
+        assert cli.main(["diagnose-degeneracy", "--config", config]) == 0
+        capsys.readouterr()
+        (samples,) = seen
+        assert samples.shape == (self.N_PATHS, 1)
+        return samples[:, 0]
+
+    def test_peak_memory_is_the_shipped_block_plus_o_paths(self, tmp_path, capsys):
+        from degenpde import cli
+
+        # 4 MiB, the budget as shipped; with pricing's 16 MiB blocks the
+        # traced peak is about 16.3 MiB
+        block = 4 * 2**20
+        run = lambda: cli.main(["diagnose-degeneracy", "--config", self.config(tmp_path, "zero", "0.0")])
+        assert run() == 0  # the first run imports what the diagnostics need
+        tracemalloc.start()
+        try:
+            assert run() == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 1.5 * block + 32 * self.N_PATHS * 8
+
+    def test_swirl_terminal_projection_has_the_euler_law(self, tmp_path, monkeypatch, capsys):
+        # dx1 = x2 ds and x2 is the Brownian path read before each step, so
+        # from x0 = 0, x1(T) = ds sum_j (n - 1 - j) dW_j: Gaussian, mean 0 and
+        # variance ds^3 (n - 1) n (2n - 1) / 6 = 0.330838 at n = 200.
+        pi = self.terminal(self.config(tmp_path, "swirl:1", "0.0"), monkeypatch, capsys)
+        n, ds = self.N_STEPS, 1.0 / self.N_STEPS
+        var = ds**3 * (n - 1) * n * (2 * n - 1) / 6
+        assert var == pytest.approx(0.330838, abs=1e-6)
+        # z-scores within 4 (a Gaussian two-sided 6e-5); seed 7 gives
+        # z = 0.66 for the mean and -0.62 for the variance (sample 0.32795)
+        z_mean = pi.mean() / np.sqrt(var / self.N_PATHS)
+        z_var = (pi.var(ddof=1) - var) / (var * np.sqrt(2.0 / (self.N_PATHS - 1)))
+        assert abs(z_mean) < 4.0 and abs(z_var) < 4.0
+
+    def test_zero_drift_terminal_projection_is_the_start(self, tmp_path, monkeypatch, capsys):
+        # sigma^T e1 = 0 and mu = 0, so x1 never moves: every path ends at x0's
+        # first component, bit for bit
+        pi = self.terminal(self.config(tmp_path, "zero", "0.25,-0.5"), monkeypatch, capsys)
+        assert np.all(pi == 0.25)

@@ -313,10 +313,14 @@ BLOCK_ROWS = 4
 @pytest.mark.parametrize("n_paths", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS])
 def test_map_blocks_is_one_draw_cut_at_block_bounds(monkeypatch, n_paths, width):
     # blocks of BLOCK_ROWS paths of ``width`` doubles per step; a lone
-    # last path joins the block before it
+    # last path joins the block before it. The cut follows the budget
+    # argument, not the pricing budget, which is set here to two paths.
     n_steps, d_noise, ds = 7, 2, 0.01
-    monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", BLOCK_ROWS * n_steps * width * 8)
-    blocks = montecarlo.map_blocks(lambda lo, incs: (lo, incs), make_rng(3), n_paths, n_steps, d_noise, ds, width)
+    monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", 2 * n_steps * width * 8)
+    budget = BLOCK_ROWS * n_steps * width * 8
+    blocks = montecarlo.map_blocks(
+        lambda lo, incs: (lo, incs), make_rng(3), n_paths, n_steps, d_noise, ds, width, budget
+    )
     sizes = [incs.shape[1] for _, incs in blocks]
     assert [lo for lo, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
     assert len(blocks) == max(1, n_paths // BLOCK_ROWS)
@@ -439,8 +443,10 @@ class TestStreamedPass:
         # the O(paths) state: laying the block out step-major by a transposed
         # copy of a whole draw would hold two blocks (about 33 MiB)
         n_steps = 500
-        n_paths = montecarlo.NOISE_BLOCK_BYTES // (n_steps * 8)
-        assert len(montecarlo.map_blocks(lambda lo, incs: None, make_rng(0), n_paths, n_steps, 1, 1.0, 1)) == 1
+        budget = montecarlo.NOISE_BLOCK_BYTES
+        n_paths = budget // (n_steps * 8)
+        blocks = montecarlo.map_blocks(lambda lo, incs: None, make_rng(0), n_paths, n_steps, 1, 1.0, 1, budget)
+        assert len(blocks) == 1
         field = flat_price_field(GridSpec(1, 8.0, 101, 20, 1.0))
 
         def run():
@@ -734,7 +740,9 @@ def test_sigma_and_xi_evaluated_once_per_step(mode, n_blocks, bench_setup, monke
     n_paths, n_steps = 300, 40
     if n_blocks > 1:
         monkeypatch.setattr(montecarlo, "NOISE_BLOCK_BYTES", n_paths // n_blocks * n_steps * 8)
-    assert len(montecarlo.map_blocks(lambda lo, incs: None, make_rng(0), n_paths, n_steps, 1, 1.0, 1)) == n_blocks
+    budget = montecarlo.NOISE_BLOCK_BYTES
+    blocks = montecarlo.map_blocks(lambda lo, incs: None, make_rng(0), n_paths, n_steps, 1, 1.0, 1, budget)
+    assert len(blocks) == n_blocks
     price_and_compare(
         bench_setup["model"], bench_setup["field"], counted_sigma, bench_setup["mu"], x0=[0.0],
         n_paths=n_paths, n_steps=n_steps, seed=2, mode=mode,

@@ -62,7 +62,8 @@ def test_blocked_price_counts_every_path_step(tmp_path):
 
 
 def test_blocked_degeneracy_counts_every_path_step(tmp_path):
-    # configs/degenerate.ini: 20 000 paths x 400 steps, several blocks of 16 MiB
+    # configs/degenerate.ini: 20 000 paths x 400 steps, 92 blocks of at most
+    # 4 MiB (cli.DEGENERACY_BLOCK_BYTES)
     config = os.path.join(REPO, "configs", "degenerate.ini")
     names, counts = _traced(tmp_path / "trace.json", ["diagnose-degeneracy", "--config", config])
     assert names.count("degeneracy.projection_paths") > 1
